@@ -9,15 +9,13 @@
 //! agreement and per-model verdicts.
 //!
 //! Rows are *independent*: every model executes a pristine engine against the
-//! same `Arc`-shared Core program. [`DifferentialRunner::run`] therefore
-//! executes the rows **in parallel** — chunked over the available cores with
-//! scoped threads — and reassembles the matrix in runner order so the result
-//! is bit-identical to the sequential path
-//! ([`DifferentialRunner::run_sequential`], kept as the baseline for
-//! `benches/differential.rs`). With the symbolic engine
-//! registered in [`ModelConfig::all_named`], the default matrix now mixes
-//! two genuinely different [`cerberus_memory::MemoryModel`] implementations,
-//! not just configurations of one.
+//! same `Arc`-shared Core program, one after another on the calling thread,
+//! in runner order. Parallelism lives one level up: the job queue
+//! (`cerberus-queue`) runs many such matrices at once on its workers, and is
+//! the only execution multiplier. With the symbolic engine registered in
+//! [`ModelConfig::all_named`], the default matrix mixes two genuinely
+//! different [`cerberus_memory::MemoryModel`] implementations, not just
+//! configurations of one.
 //!
 //! Rows are also *fault-isolated*: each row runs behind
 //! [`std::panic::catch_unwind`], so a panicking memory-model implementation
@@ -159,48 +157,10 @@ impl DifferentialRunner {
         }
     }
 
-    /// Execute `program` under every model, spreading the rows across the
-    /// machine's cores with scoped threads. The elaborated artifact is
-    /// shared — each row reuses the same `Arc`'d Core program — and the
-    /// matrix is assembled in runner order, so the result is identical to
-    /// [`DifferentialRunner::run_sequential`].
-    ///
-    /// The worker count adapts to [`std::thread::available_parallelism`]:
-    /// rows are dealt to at most that many threads (contiguous chunks, so
-    /// each spawn amortises over several models), and a single-core machine
-    /// falls back to the sequential path with no spawn overhead at all.
-    pub fn run(&self, program: &Elaborated) -> OutcomeMatrix {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(self.models.len());
-        if workers <= 1 {
-            return self.run_sequential(program);
-        }
-        let chunk = self.models.len().div_ceil(workers);
-        let mut rows: Vec<Option<ModelRun>> = self.models.iter().map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (slots, models) in rows.chunks_mut(chunk).zip(self.models.chunks(chunk)) {
-                scope.spawn(move || {
-                    for (slot, model) in slots.iter_mut().zip(models.iter()) {
-                        // run_row contains engine panics, so every slot is
-                        // filled even when a model faults.
-                        *slot = Some(self.run_row(program, model));
-                    }
-                });
-            }
-        });
-        OutcomeMatrix::new(
-            rows.into_iter()
-                .map(|row| row.expect("every scoped row thread ran to completion"))
-                .collect(),
-        )
-    }
-
     /// Execute `program` under every model on the calling thread, in runner
-    /// order (the baseline the parallel [`DifferentialRunner::run`] is
-    /// benchmarked — and tested for determinism — against).
-    pub fn run_sequential(&self, program: &Elaborated) -> OutcomeMatrix {
+    /// order. The elaborated artifact is shared: each row reuses the same
+    /// `Arc`'d Core program.
+    pub fn run(&self, program: &Elaborated) -> OutcomeMatrix {
         OutcomeMatrix::new(
             self.models
                 .iter()
@@ -404,15 +364,31 @@ mod tests {
         assert!(matrix.disagreeing_models().is_empty());
     }
 
+    /// Run `runner` on a thread whose stack covers the default budget, where
+    /// every row executes inline (the job-queue worker path).
+    fn run_inline(runner: &DifferentialRunner, program: &Elaborated) -> OutcomeMatrix {
+        let (runner, program) = (runner.clone(), program.clone());
+        let stack = ResourceLimits::default().host_stack_bytes();
+        crate::pipeline::spawn_with_stack("inline-runner".to_owned(), stack, move || {
+            assert!(crate::pipeline::stack_covers(runner.limits()));
+            runner.run(&program)
+        })
+        .unwrap()
+        .join()
+        .unwrap()
+    }
+
     #[test]
-    fn parallel_and_sequential_runs_yield_the_same_matrix() {
+    fn inline_and_spawned_runs_yield_the_same_matrix() {
         let program = Session::default().elaborate(DR260).unwrap();
         let runner = DifferentialRunner::all_named();
-        let parallel = runner.run(&program);
-        let sequential = runner.run_sequential(&program);
-        assert_eq!(parallel, sequential);
-        // Row order is the runner order in both paths.
-        let names: Vec<_> = parallel.rows().iter().map(|r| r.model).collect();
+        // The test thread's stack size is unknown, so here every row runs
+        // on a spawned thread.
+        assert!(!crate::pipeline::stack_covers(runner.limits()));
+        let spawned = runner.run(&program);
+        assert_eq!(run_inline(&runner, &program), spawned);
+        // Rows come back in runner order.
+        let names: Vec<_> = spawned.rows().iter().map(|r| r.model).collect();
         let expected: Vec<_> = ModelConfig::all_named().iter().map(|m| m.name).collect();
         assert_eq!(names, expected);
     }
@@ -492,12 +468,13 @@ mod tests {
             ModelConfig::panicking(),
             ModelConfig::symbolic(),
         ]);
-        assert_eq!(runner.run(&program), runner.run_sequential(&program));
+        assert_eq!(runner.run(&program), run_inline(&runner, &program));
         // The retry-once policy re-runs the row; a deterministic fault still
         // ends as a fault row.
         let retrying = runner.clone().with_fault_retry(true);
         let matrix = retrying.run(&program);
         assert_eq!(matrix.faulted_models(), vec!["panicking"]);
+        assert_eq!(run_inline(&retrying, &program), matrix);
     }
 
     #[test]

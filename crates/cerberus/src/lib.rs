@@ -15,11 +15,10 @@
 //! elaboration per source; an [`pipeline::Elaborated`] program can be
 //! executed any number of times under different models, and
 //! [`differential::DifferentialRunner`] runs one artifact across a whole
-//! model list **in parallel** (rows chunked over the available cores,
-//! deterministically equal to the sequential path), returning the §3-style
-//! outcome matrix. The named model list mixes both in-tree engines — the
-//! concrete byte-representation engine and the symbolic provenance engine
-//! (`cerberus_memory::symbolic`).
+//! model list, returning the §3-style outcome matrix (the job queue in
+//! `cerberus-queue` runs many such matrices in parallel). The named model
+//! list mixes both in-tree engines — the concrete byte-representation engine
+//! and the symbolic provenance engine (`cerberus_memory::symbolic`).
 //!
 //! # Quick start
 //!

@@ -29,9 +29,11 @@
 //! For running one artifact across a whole *set* of models and comparing the
 //! outcomes, see [`crate::differential::DifferentialRunner`].
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 
 use cerberus_ail::ail::AilProgram;
 use cerberus_ail::desugar::{desugar_translation_unit_all, FrontendError};
@@ -667,31 +669,37 @@ impl Elaborated {
 
     /// Execute under `model` with an explicit mode and full resource budget
     /// (steps, wall-clock watchdog, allocation bounds, call depth).
+    ///
+    /// The interpreter recurses on the host stack, so the call-depth budget
+    /// only protects the process if the executing stack holds
+    /// [`ResourceLimits::host_stack_bytes`]. When the current thread was
+    /// started by [`spawn_with_stack`] with at least that much — every
+    /// job-queue worker is, sized for the default budget — the driver runs
+    /// directly on it and nothing is spawned. Otherwise (a plain caller
+    /// thread, or a budget deeper than the thread's stack) the run moves to a
+    /// thread spawned with the needed stack, and an engine panic there is
+    /// rethrown here. Either way a panic reaches the caller with its original
+    /// payload, so fault-isolating callers (the differential runner, the
+    /// litmus suite) contain it the same way.
     pub fn execute_bounded(
         &self,
         model: &ModelConfig,
         mode: ExecMode,
         limits: &ResourceLimits,
     ) -> RunOutcome {
-        // The interpreter recurses on the host stack, so the call-depth
-        // budget only protects the process if the executing stack is sized
-        // for it: run the driver on a worker thread with
-        // `limits.host_stack_bytes()` of stack. An engine panic unwinds the
-        // worker; rethrow it here so fault-isolating callers (the
-        // differential runner, the litmus suite) observe the original
-        // payload.
-        let result = std::thread::scope(|scope| {
-            std::thread::Builder::new()
-                .name(format!("cerberus-exec-{}", model.name))
-                .stack_size(limits.host_stack_bytes())
-                .spawn_scoped(scope, || {
-                    self.driver(model).with_limits(limits.clone()).run(mode)
-                })
-                .expect("spawning an execution worker thread")
-                .join()
-        });
-        match result {
-            Ok(outcomes) => RunOutcome { outcomes },
+        if stack_covers(limits) {
+            return RunOutcome {
+                outcomes: self.driver(model).with_limits(limits.clone()).run(mode),
+            };
+        }
+        let name = format!("cerberus-exec-{}", model.name);
+        let (program, model, limits) = (self.clone(), model.clone(), limits.clone());
+        let worker = spawn_with_stack(name, limits.host_stack_bytes(), move || {
+            program.execute_bounded(&model, mode, &limits)
+        })
+        .expect("spawning an execution thread");
+        match worker.join() {
+            Ok(outcome) => outcome,
             Err(panic) => std::panic::resume_unwind(panic),
         }
     }
@@ -718,6 +726,40 @@ impl Elaborated {
     }
 }
 
+thread_local! {
+    /// The stack size [`spawn_with_stack`] gave the current thread; zero on
+    /// any other thread, whose stack size is not known.
+    static HOST_STACK_BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Spawn a named thread with `stack_bytes` of stack and record that size for
+/// the thread, so [`Elaborated::execute_bounded`] on it runs inline whenever
+/// the budget's [`ResourceLimits::host_stack_bytes`] fits.
+pub fn spawn_with_stack<F, T>(
+    name: String,
+    stack_bytes: usize,
+    body: F,
+) -> std::io::Result<JoinHandle<T>>
+where
+    F: FnOnce() -> T + Send + 'static,
+    T: Send + 'static,
+{
+    std::thread::Builder::new()
+        .name(name)
+        .stack_size(stack_bytes)
+        .spawn(move || {
+            HOST_STACK_BYTES.set(stack_bytes);
+            body()
+        })
+}
+
+/// Whether the current thread's stack, as recorded by [`spawn_with_stack`],
+/// holds an execution under `limits` (then [`Elaborated::execute_bounded`]
+/// spawns nothing).
+pub(crate) fn stack_covers(limits: &ResourceLimits) -> bool {
+    HOST_STACK_BYTES.get() >= limits.host_stack_bytes()
+}
+
 /// Convenience: run `source` under the default (de facto) configuration.
 pub fn run(source: &str) -> Result<RunOutcome, PipelineError> {
     Session::default().run_source(source)
@@ -733,6 +775,20 @@ mod tests {
     use super::*;
     use cerberus_ast::ub::UbKind;
     use cerberus_exec::driver::ExecResult;
+
+    #[test]
+    fn executions_run_inline_only_on_a_thread_sized_for_their_budget() {
+        let default = ResourceLimits::default();
+        let deep = default
+            .clone()
+            .with_call_depth(4 * ResourceLimits::DEFAULT_CALL_DEPTH);
+        // The test thread was not spawned by `spawn_with_stack`.
+        assert!(!stack_covers(&default));
+        let sized = spawn_with_stack("sized".to_owned(), default.host_stack_bytes(), move || {
+            (stack_covers(&default), stack_covers(&deep))
+        });
+        assert_eq!(sized.unwrap().join().unwrap(), (true, false));
+    }
 
     fn exit_of(src: &str) -> i128 {
         let out = run(src).unwrap();

@@ -183,7 +183,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             .proc(name)
             .ok_or_else(|| Stop::Error(format!("call to undefined function {name}")))?
             .clone();
-        if self.call_depth > self.limits.call_depth {
+        if self.call_depth > self.limits.effective_call_depth() {
             return Err(Stop::Resource(ResourceKind::CallDepth));
         }
         self.call_depth += 1;

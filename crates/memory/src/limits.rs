@@ -75,7 +75,9 @@ pub struct ResourceLimits {
     pub heap_bytes: Option<u64>,
     /// Optional budget on simultaneously live allocations.
     pub max_live_allocations: Option<usize>,
-    /// Maximum C call depth.
+    /// Maximum C call depth (enforced as
+    /// [`ResourceLimits::effective_call_depth`], which caps it at what the
+    /// largest host stack can hold).
     pub call_depth: usize,
 }
 
@@ -118,23 +120,46 @@ impl ResourceLimits {
         self
     }
 
-    /// The host-stack size an execution under this budget needs.
+    /// Host stack reserved per C call. The interpreter recurses on the host
+    /// stack, one cluster of frames per C call and per level of expression
+    /// nesting around it. Measured on x86-64: 12-28 KiB per call in optimised
+    /// builds, 90-220 KiB in unoptimised ones, so the reserve is 64 KiB and
+    /// 256 KiB respectively.
+    pub const BYTES_PER_C_FRAME: usize = if cfg!(debug_assertions) {
+        256 * 1024
+    } else {
+        64 * 1024
+    };
+    /// Host stack reserved on top of the C frames, for the frames of the
+    /// caller that starts the execution.
+    pub const HOST_STACK_HEADROOM: usize = 1 << 20;
+    /// The largest host stack an execution asks for, so an absurd call depth
+    /// cannot make spawning a thread for it fail.
+    pub const MAX_HOST_STACK_BYTES: usize = 1 << 30;
+
+    /// The call depth the interpreter enforces: [`ResourceLimits::call_depth`],
+    /// lowered to what [`ResourceLimits::MAX_HOST_STACK_BYTES`] of host stack
+    /// can hold. A larger request would overflow the host stack (and abort
+    /// the process) before the budget fired.
+    pub fn effective_call_depth(&self) -> usize {
+        let most =
+            (Self::MAX_HOST_STACK_BYTES - Self::HOST_STACK_HEADROOM) / Self::BYTES_PER_C_FRAME;
+        self.call_depth.min(most)
+    }
+
+    /// The host stack an execution under this budget needs:
+    /// [`ResourceLimits::effective_call_depth`] C frames plus headroom, at
+    /// most [`ResourceLimits::MAX_HOST_STACK_BYTES`].
     ///
-    /// The interpreter recurses on the host stack — one cluster of frames per
-    /// C call, tens of kilobytes in unoptimised builds — so
-    /// [`ResourceLimits::call_depth`] only protects the process if the
-    /// executing thread's stack is sized for it. Execution entry points run
-    /// the driver on a worker thread with this much stack, guaranteeing the
-    /// budget surfaces as [`ResourceKind::CallDepth`] before the host stack
-    /// runs out. Clamped to 1 GiB so an absurd depth cannot make spawning the
-    /// worker itself fail.
+    /// The call-depth budget only protects the process if the executing
+    /// thread's stack is this large; then the budget surfaces as
+    /// [`ResourceKind::CallDepth`] before the host stack runs out. Job-queue
+    /// workers are spawned with the default budget's size and run executions
+    /// directly on their own stack; an execution whose budget needs more than
+    /// the current thread has runs on a thread spawned with this much stack
+    /// (see `cerberus::pipeline::Elaborated::execute_bounded`).
     pub fn host_stack_bytes(&self) -> usize {
-        const BYTES_PER_C_FRAME: usize = 64 * 1024;
-        const HEADROOM: usize = 1 << 20;
-        self.call_depth
-            .saturating_mul(BYTES_PER_C_FRAME)
-            .saturating_add(HEADROOM)
-            .min(1 << 30)
+        self.effective_call_depth() * Self::BYTES_PER_C_FRAME + Self::HOST_STACK_HEADROOM
     }
 }
 
@@ -176,6 +201,37 @@ mod tests {
         assert_eq!(limits.heap_bytes, Some(1 << 20));
         assert_eq!(limits.max_live_allocations, Some(64));
         assert_eq!(limits.call_depth, 32);
+    }
+
+    #[test]
+    fn the_enforced_depth_always_fits_the_host_stack() {
+        let most = (ResourceLimits::MAX_HOST_STACK_BYTES - ResourceLimits::HOST_STACK_HEADROOM)
+            / ResourceLimits::BYTES_PER_C_FRAME;
+        for requested in [
+            0,
+            1,
+            256,
+            4096,
+            most - 1,
+            most,
+            most + 1,
+            1 << 20,
+            usize::MAX,
+        ] {
+            let limits = ResourceLimits::default().with_call_depth(requested);
+            let depth = limits.effective_call_depth();
+            assert_eq!(depth, requested.min(most), "requested {requested}");
+            assert!(
+                depth * ResourceLimits::BYTES_PER_C_FRAME + ResourceLimits::HOST_STACK_HEADROOM
+                    <= limits.host_stack_bytes(),
+                "requested {requested}"
+            );
+            assert!(limits.host_stack_bytes() <= ResourceLimits::MAX_HOST_STACK_BYTES);
+        }
+        assert_eq!(
+            ResourceLimits::default().host_stack_bytes(),
+            256 * ResourceLimits::BYTES_PER_C_FRAME + (1 << 20)
+        );
     }
 
     #[test]

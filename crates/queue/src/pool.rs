@@ -5,7 +5,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use cerberus::pipeline::Session;
+use cerberus::pipeline::{spawn_with_stack, Session};
+use cerberus_memory::limits::ResourceLimits;
 
 use crate::scheduler::Scheduler;
 use crate::{
@@ -127,7 +128,10 @@ pub struct JobQueue {
 }
 
 impl JobQueue {
-    /// Start a pool of `workers` threads (at least one).
+    /// Start a pool of `workers` threads (at least one). Each worker's stack
+    /// holds an execution under the default [`ResourceLimits`], so jobs
+    /// within that budget run directly on the worker; only a job with a
+    /// deeper call-depth budget spawns a thread per run.
     pub fn start(workers: usize) -> Self {
         JobQueue::start_with_session(workers, Session::default())
     }
@@ -151,10 +155,12 @@ impl JobQueue {
         let handles = (0..workers)
             .map(|w| {
                 let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("cerberus-job-worker-{w}"))
-                    .spawn(move || inner.worker_loop(w))
-                    .expect("spawning a job-queue worker")
+                spawn_with_stack(
+                    format!("cerberus-job-worker-{w}"),
+                    ResourceLimits::default().host_stack_bytes(),
+                    move || inner.worker_loop(w),
+                )
+                .expect("spawning a job-queue worker")
             })
             .collect();
         JobQueue {
@@ -312,7 +318,6 @@ mod tests {
     use crate::Job;
     use cerberus::DifferentialRunner;
     use cerberus_memory::config::ModelConfig;
-    use cerberus_memory::limits::ResourceLimits;
 
     fn return_n(n: usize) -> String {
         format!("int main(void) {{ return {n}; }}")
@@ -326,8 +331,8 @@ mod tests {
         let outcomes = queue.run_batch(sources.iter().map(|src| Job::new(src.clone(), models())));
         let session = Session::default();
         for (source, outcome) in sources.iter().zip(outcomes) {
-            let expected = DifferentialRunner::new(models())
-                .run_sequential(&session.elaborate(source).unwrap());
+            let expected =
+                DifferentialRunner::new(models()).run(&session.elaborate(source).unwrap());
             assert_eq!(outcome.into_matrix().unwrap(), expected, "source {source}");
         }
         queue.shutdown();

@@ -7,7 +7,8 @@
 //! `{"group", "bench", "mean_ns", "samples"}` rows), and the analysis
 //! checkpoint must actually demonstrate the property it was committed to
 //! witness — the solver memo table earns its keep (`solver_memo_hits > 0`)
-//! and path exploration happened at all.
+//! and path exploration happened at all. The differential checkpoint must
+//! show the 2-worker job queue no slower than the calling thread.
 
 use std::path::{Path, PathBuf};
 
@@ -125,7 +126,33 @@ fn analysis_checkpoint_shows_the_solver_memo_working() {
     );
 }
 
+/// Look up a timed row (samples > 0) by bench name and return its mean.
+fn timed_mean(rows: &[Json], bench: &str) -> i128 {
+    let row = rows
+        .iter()
+        .find(|r| r.get("bench").and_then(Json::as_str) == Some(bench))
+        .unwrap_or_else(|| panic!("checkpoint lacks a {bench} row"));
+    let samples = row.get("samples").and_then(Json::as_int).unwrap();
+    assert!(samples > 0, "{bench} must be a timed row, got samples 0");
+    row.get("mean_ns").and_then(Json::as_int).unwrap()
+}
+
 #[test]
 fn differential_checkpoint_is_committed_and_well_formed() {
     load_checkpoint("BENCH_differential.json");
+}
+
+/// The job queue is the one execution multiplier, so it must pay for itself:
+/// the same seed batch on a 2-worker queue is no slower than on the calling
+/// thread. A ratio of two rows from one run holds across machines where
+/// absolute nanoseconds do not. CI checks the same ratio on a fresh run.
+#[test]
+fn differential_checkpoint_shows_the_pool_no_slower_than_sequential() {
+    let rows = load_checkpoint("BENCH_differential.json");
+    let sequential = timed_mean(&rows, "seed_batch_sequential");
+    let pool = timed_mean(&rows, "seed_batch_queue_2");
+    assert!(
+        pool <= sequential,
+        "a 2-worker queue ({pool} ns) is slower than the calling thread ({sequential} ns)"
+    );
 }

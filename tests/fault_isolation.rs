@@ -6,7 +6,8 @@
 //! leave every other row bit-identical to a run without the faulty engine.
 //! Separately, the watchdog budgets (wall clock, call depth, live
 //! allocations) must stop runaway programs with structured verdicts instead
-//! of hanging or aborting the process.
+//! of hanging or aborting the process, on a caller's thread and on a job
+//! queue's workers alike.
 
 use std::time::{Duration, Instant};
 
@@ -16,6 +17,7 @@ use cerberus_exec::driver::{ExecMode, ExecResult};
 use cerberus_memory::config::ModelConfig;
 use cerberus_memory::fault::FAULT_MESSAGE;
 use cerberus_memory::limits::{ResourceKind, ResourceLimits, TimeoutKind};
+use cerberus_queue::{Job, JobQueue};
 
 /// The full catalogue under every named model plus an injected
 /// always-panicking engine: the run completes, exactly the injected model's
@@ -116,6 +118,40 @@ fn runaway_recursion_exhausts_the_call_depth_budget() {
         "expected call-depth exhaustion, got {:?}",
         outcome.outcomes[0].result
     );
+}
+
+/// Runaway recursion as a queued job ends in call-depth exhaustion on a
+/// 1-worker queue, whether the run fits the worker's own stack (the default
+/// budget: the interpreter runs inline on the worker) or needs a deeper
+/// stack than the worker has (the run moves to a thread sized for it).
+#[test]
+fn queued_runaway_recursion_exhausts_the_call_depth_budget_on_both_paths() {
+    let queue = JobQueue::start(1);
+    let recursion = || {
+        Job::new(
+            "int f(int n) { return f(n + 1); } int main(void) { return f(0); }",
+            vec![ModelConfig::de_facto(), ModelConfig::symbolic()],
+        )
+    };
+    let inline = recursion();
+    let spawned = recursion().with_limits(
+        ResourceLimits::default().with_call_depth(4 * ResourceLimits::DEFAULT_CALL_DEPTH),
+    );
+    for (path, job) in [("inline", inline), ("spawned", spawned)] {
+        let matrix = queue.wait(queue.submit(job)).into_matrix().unwrap();
+        for row in matrix.rows() {
+            assert!(
+                matches!(
+                    row.outcome.outcomes[0].result,
+                    ExecResult::ResourceExhausted(ResourceKind::CallDepth)
+                ),
+                "{path} run under {}: expected call-depth exhaustion, got {:?}",
+                row.model,
+                row.outcome.outcomes[0].result
+            );
+        }
+    }
+    queue.shutdown();
 }
 
 /// A leak loop trips the live-allocation ceiling with a structured verdict.

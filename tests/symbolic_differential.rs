@@ -1,17 +1,19 @@
 //! Integration tests: the symbolic provenance engine as a genuinely
-//! different second `MemoryModel`, exercised through the full pipeline and
-//! the parallel differential runner.
+//! different second `MemoryModel`, exercised through the full pipeline, the
+//! differential runner and the job queue.
 //!
 //! These assert the known concrete-vs-symbolic disagreement classes (cross-
 //! object pointer comparison, intptr round trips resolved through provenance
-//! rather than through the concrete address space) and the determinism of
-//! the parallel runner against the sequential path.
+//! rather than through the concrete address space) and that a matrix run on
+//! the queue's workers equals the one the runner builds on the calling
+//! thread.
 
 use cerberus::memory::config::ModelConfig;
 use cerberus::pipeline::Session;
 use cerberus::DifferentialRunner;
 use cerberus_ast::ub::UbKind;
-use cerberus_litmus::{catalogue, differential, elaborate};
+use cerberus_litmus::{catalogue, differential, elaborate, LitmusTest};
+use cerberus_queue::{Job, JobQueue};
 
 #[test]
 fn cross_object_pointer_comparison_splits_concrete_and_symbolic() {
@@ -90,23 +92,31 @@ fn intptr_round_trips_split_concrete_and_symbolic() {
 
 #[test]
 fn every_litmus_differential_matrix_is_deterministic_under_parallelism() {
-    // The parallel runner must produce exactly the sequential matrix for
+    // A 2-worker queue must produce exactly the calling thread's matrix for
     // every litmus test that records expectations (rows in runner order,
-    // identical outcomes).
-    for test in catalogue() {
-        let models: Vec<ModelConfig> = ModelConfig::all_named()
+    // identical outcomes), however the workers interleave the jobs.
+    let queue = JobQueue::start(2);
+    let suite = catalogue();
+    let models = |test: &LitmusTest| -> Vec<ModelConfig> {
+        ModelConfig::all_named()
             .into_iter()
             .filter(|m| test.expectation_for(m.name).is_some())
-            .collect();
-        let runner = DifferentialRunner::new(models);
-        let program = elaborate(&test);
+            .collect()
+    };
+    let queued = queue.run_batch(
+        suite
+            .iter()
+            .map(|test| Job::new(test.source.clone(), models(test))),
+    );
+    for (test, outcome) in suite.iter().zip(queued) {
         assert_eq!(
-            runner.run(&program),
-            runner.run_sequential(&program),
+            outcome.into_matrix().unwrap(),
+            DifferentialRunner::new(models(test)).run(&elaborate(test)),
             "test {}",
             test.name
         );
     }
+    queue.shutdown();
 }
 
 #[test]
