@@ -228,7 +228,7 @@ pub struct FunctionDef {
     pub return_ty: Ctype,
     /// Parameters: unique name and type, in order.
     pub params: Vec<(Ident, Ctype)>,
-    /// Whether the prototype was variadic (only builtins are).
+    /// Whether the prototype ends in `...`.
     pub variadic: bool,
     /// The body (a block).
     pub body: AilStmt,

@@ -2898,6 +2898,7 @@ mod tests {
             CoreProc {
                 name: Ident::new("main"),
                 params: vec![],
+                variadic: false,
                 return_ty: int_ty(),
                 body,
             },

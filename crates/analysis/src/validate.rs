@@ -310,7 +310,7 @@ impl<'a> Validator<'a> {
                         if self.program.proc(name.as_str()).is_some() =>
                     {
                         let proc = &self.program.procs[name.as_str()];
-                        if proc.params.len() != args.len() {
+                        if !proc.accepts_arity(args.len()) {
                             self.violation(format!(
                                 "{}: call to `{name}` passes {} arguments, expected {}",
                                 self.context,
@@ -425,6 +425,7 @@ mod tests {
             CoreProc {
                 name: name.clone(),
                 params: Vec::new(),
+                variadic: false,
                 return_ty: Ctype::integer(IntegerType::Int),
                 body,
             },

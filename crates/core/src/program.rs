@@ -19,10 +19,21 @@ pub struct CoreProc {
     /// Parameter symbols and their C types; the body begins by creating one
     /// object per parameter and storing the incoming argument value into it.
     pub params: Vec<(Ident, Ctype)>,
+    /// Whether the prototype ends in `...`, so the procedure accepts
+    /// arguments beyond its parameters.
+    pub variadic: bool,
     /// The C return type.
     pub return_ty: Ctype,
     /// The elaborated body.
     pub body: Expr,
+}
+
+impl CoreProc {
+    /// Whether a call with `args` arguments matches the prototype: exactly
+    /// one per parameter, or more when the procedure is variadic.
+    pub fn accepts_arity(&self, args: usize) -> bool {
+        args == self.params.len() || (self.variadic && args > self.params.len())
+    }
 }
 
 /// A C object with static storage duration, with its initialisation
@@ -81,6 +92,7 @@ mod tests {
             CoreProc {
                 name: Ident::new("main"),
                 params: vec![],
+                variadic: false,
                 return_ty: Ctype::integer(IntegerType::Int),
                 body: Expr::Pure(PExpr::Integer(0)),
             },

@@ -57,6 +57,7 @@ pub fn elaborate_program(program: &AilProgram, env: &ImplEnv) -> CoreProgram {
             CoreProc {
                 name: f.name.clone(),
                 params: f.params.clone(),
+                variadic: f.variadic,
                 return_ty: f.return_ty.clone(),
                 body,
             },

@@ -54,14 +54,14 @@ fn specified_int(v: i128) -> Result<Value, Stop> {
 }
 
 fn specified_ptr(p: PointerValue) -> Result<Value, Stop> {
-    Ok(Value::Specified(Box::new(Value::Pointer(p))))
+    Ok(Value::specified(Value::Pointer(p)))
 }
 
 fn assert_builtin(args: &[Value]) -> Result<Value, Stop> {
     if arg_int(args, 0) == 0 {
         Err(Stop::Error("assertion failed".into()))
     } else {
-        Ok(Value::Specified(Box::new(Value::Unit)))
+        Ok(Value::specified(Value::Unit))
     }
 }
 
@@ -87,7 +87,7 @@ fn free<M: MemoryModel>(interp: &mut Interp<'_, M>, args: &[Value]) -> Result<Va
         .and_then(Value::as_pointer)
         .unwrap_or_else(PointerValue::null);
     interp.mem.kill(&ptr, true).map_err(Stop::from)?;
-    Ok(Value::Specified(Box::new(Value::Unit)))
+    Ok(Value::specified(Value::Unit))
 }
 
 fn memcpy<M: MemoryModel>(interp: &mut Interp<'_, M>, args: &[Value]) -> Result<Value, Stop> {

@@ -1,12 +1,14 @@
 //! The Core interpreter: a structural operational semantics over Core
 //! expressions, parameterised by the memory object model and a choice oracle.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use cerberus_ast::ctype::{Ctype, IntegerType};
 use cerberus_ast::ident::Ident;
 use cerberus_ast::ub::UbKind;
-use cerberus_core::program::CoreProgram;
+use cerberus_core::program::{CoreProc, CoreProgram};
 use cerberus_core::syntax::{Binop, BuiltinFn, Expr, MemAction, PExpr, Pattern, PtrOp};
 use cerberus_memory::limits::{ResourceKind, ResourceLimits, TimeoutKind};
 use cerberus_memory::model::MemoryModel;
@@ -53,19 +55,21 @@ impl From<MemError> for Stop {
     }
 }
 
-/// Control flow produced by evaluating an expression.
+/// Control flow produced by evaluating an expression of a program that
+/// lives for `'a`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Flow {
+pub enum Flow<'a> {
     /// A value.
     Value(Value),
-    /// A jump to a `save`/`exit` label (`run l`).
-    Jump(Ident),
+    /// A jump to a `save`/`exit` label (`run l`), borrowed from the program.
+    Jump(&'a Ident),
     /// A `return` from the current C function.
     Return(Value),
 }
 
-type EResult = Result<Flow, Stop>;
-type Env = HashMap<String, Value>;
+type EResult<'a> = Result<Flow<'a>, Stop>;
+/// Symbol bindings, keyed by names borrowed from the program.
+type Env<'a> = HashMap<&'a str, Value>;
 
 #[derive(Debug, Clone, Copy)]
 struct Access {
@@ -98,7 +102,7 @@ pub struct Interp<'a, M: MemoryModel> {
     program: &'a CoreProgram,
     /// The memory object model state.
     pub mem: M,
-    globals: Env,
+    globals: Env<'a>,
     /// Bytes written by `printf` during this execution.
     pub stdout: Vec<u8>,
     oracle: &'a mut dyn ChoiceOracle,
@@ -141,23 +145,23 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
     /// the program's functions, and run the global initialisers in
     /// declaration order.
     pub fn setup(&mut self) -> Result<(), Stop> {
-        for (name, bytes) in &self.program.string_literals {
+        let program = self.program;
+        for (name, bytes) in &program.string_literals {
             let ptr = self.mem.create_string_literal(bytes).map_err(Stop::from)?;
-            self.globals
-                .insert(name.as_str().to_owned(), Value::Pointer(ptr));
+            self.globals.insert(name.as_str(), Value::Pointer(ptr));
         }
-        for proc_name in self.program.procs.keys() {
+        for proc_name in program.procs.keys() {
             self.mem.register_function(&Ident::new(proc_name.clone()));
         }
-        for global in &self.program.globals {
+        for global in &program.globals {
             let ptr = self
                 .mem
                 .create(&global.ty, AllocKind::Static, Some(global.name.as_str()))
                 .map_err(Stop::from)?;
             self.globals
-                .insert(global.name.as_str().to_owned(), Value::Pointer(ptr));
+                .insert(global.name.as_str(), Value::Pointer(ptr));
         }
-        for global in &self.program.globals {
+        for global in &program.globals {
             let mut env = Env::new();
             match self.eval_expr(&mut env, &global.init)? {
                 Flow::Value(_) => {}
@@ -178,11 +182,19 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
         if let Some(result) = builtins::call_builtin(self, name, &args) {
             return result;
         }
-        let proc = self
-            .program
+        let proc = self.proc(name)?;
+        self.call_proc(proc, args)
+    }
+
+    /// The procedure `name` names, borrowed from the program.
+    fn proc(&self, name: &str) -> Result<&'a CoreProc, Stop> {
+        self.program
             .proc(name)
-            .ok_or_else(|| Stop::Error(format!("call to undefined function {name}")))?
-            .clone();
+            .ok_or_else(|| Stop::Error(format!("call to undefined function {name}")))
+    }
+
+    /// Run a procedure's body with one parameter object per argument.
+    fn call_proc(&mut self, proc: &'a CoreProc, args: Vec<Value>) -> Result<Value, Stop> {
         if self.call_depth > self.limits.effective_call_depth() {
             return Err(Stop::Resource(ResourceKind::CallDepth));
         }
@@ -197,7 +209,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             self.mem
                 .store(ty, &ptr, &arg.to_mem(ty))
                 .map_err(Stop::from)?;
-            env.insert(sym.as_str().to_owned(), Value::Pointer(ptr.clone()));
+            env.insert(sym.as_str(), Value::Pointer(ptr.clone()));
             param_ptrs.push(ptr);
         }
         let flow = self.eval_expr(&mut env, &proc.body);
@@ -239,7 +251,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
         }
     }
 
-    fn lookup(&self, env: &Env, name: &Ident) -> Result<Value, Stop> {
+    fn lookup(&self, env: &Env<'a>, name: &Ident) -> Result<Value, Stop> {
         env.get(name.as_str())
             .or_else(|| self.globals.get(name.as_str()))
             .cloned()
@@ -248,38 +260,54 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
 
     // ----- pattern matching ---------------------------------------------------
 
-    fn match_pattern(pat: &Pattern, value: &Value) -> Option<Vec<(String, Value)>> {
+    /// Whether `value` matches `pat`. Nothing is bound, so a failed match
+    /// leaves the environment untouched.
+    fn pattern_matches(pat: &Pattern, value: &Value) -> bool {
         match (pat, value) {
-            (Pattern::Wildcard, _) => Some(Vec::new()),
-            (Pattern::Sym(name), v) => Some(vec![(name.as_str().to_owned(), v.clone())]),
+            (Pattern::Wildcard | Pattern::Sym(_), _) => true,
             (Pattern::Tuple(ps), Value::Tuple(vs)) if ps.len() == vs.len() => {
-                let mut out = Vec::new();
-                for (p, v) in ps.iter().zip(vs.iter()) {
-                    out.extend(Self::match_pattern(p, v)?);
-                }
-                Some(out)
+                ps.iter().zip(vs).all(|(p, v)| Self::pattern_matches(p, v))
             }
-            (Pattern::Tuple(ps), v) if ps.len() == 1 => Self::match_pattern(&ps[0], v),
-            (Pattern::Specified(p), Value::Specified(inner)) => Self::match_pattern(p, inner),
+            (Pattern::Tuple(ps), v) if ps.len() == 1 => Self::pattern_matches(&ps[0], v),
+            (Pattern::Specified(p), Value::Specified(inner)) => Self::pattern_matches(p, inner),
             (Pattern::Unspecified(p), Value::Unspecified(ty)) => {
-                Self::match_pattern(p, &Value::Ctype(ty.clone()))
+                Self::pattern_matches(p, &Value::Ctype(ty.clone()))
             }
-            _ => None,
+            _ => false,
         }
     }
 
-    fn bind(env: &mut Env, pat: &Pattern, value: Value) -> Result<(), Stop> {
-        match Self::match_pattern(pat, &value) {
-            Some(bindings) => {
-                for (name, v) in bindings {
-                    env.insert(name, v);
-                }
-                Ok(())
+    /// Bind the symbols of `pat` to the parts of `value`, which
+    /// [`Self::pattern_matches`] has accepted.
+    fn bind_matched(env: &mut Env<'a>, pat: &'a Pattern, value: Value) {
+        match (pat, value) {
+            (Pattern::Sym(name), v) => {
+                env.insert(name.as_str(), v);
             }
-            None => Err(Stop::Error(format!(
-                "pattern match failure binding {value}"
-            ))),
+            (Pattern::Tuple(ps), Value::Tuple(vs)) if ps.len() == vs.len() => {
+                for (p, v) in ps.iter().zip(vs) {
+                    Self::bind_matched(env, p, v);
+                }
+            }
+            (Pattern::Tuple(ps), v) if ps.len() == 1 => Self::bind_matched(env, &ps[0], v),
+            (Pattern::Specified(p), Value::Specified(inner)) => {
+                Self::bind_matched(env, p, Rc::unwrap_or_clone(inner))
+            }
+            (Pattern::Unspecified(p), Value::Unspecified(ty)) => {
+                Self::bind_matched(env, p, Value::Ctype(ty))
+            }
+            _ => {}
         }
+    }
+
+    fn bind(env: &mut Env<'a>, pat: &'a Pattern, value: Value) -> Result<(), Stop> {
+        if !Self::pattern_matches(pat, &value) {
+            return Err(Stop::Error(format!(
+                "pattern match failure binding {value}"
+            )));
+        }
+        Self::bind_matched(env, pat, value);
+        Ok(())
     }
 
     // ----- pure expressions ----------------------------------------------------
@@ -375,9 +403,9 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
     }
 
     fn eval_builtin(&mut self, f: BuiltinFn, args: &[Value]) -> Result<Value, Stop> {
-        let ctype_arg = |i: usize| -> Result<Ctype, Stop> {
+        let ctype_arg = |i: usize| -> Result<&Ctype, Stop> {
             match args.get(i) {
-                Some(Value::Ctype(ty)) => Ok(ty.clone()),
+                Some(Value::Ctype(ty)) => Ok(ty),
                 other => Err(Stop::Error(format!(
                     "builtin expected a ctype argument, got {other:?}"
                 ))),
@@ -434,13 +462,13 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             BuiltinFn::SizeOf => {
                 let ty = ctype_arg(0)?;
                 Ok(Value::Integer(IntegerValue::pure(i128::from(
-                    self.mem.size_of(&ty)?,
+                    self.mem.size_of(ty)?,
                 ))))
             }
             BuiltinFn::AlignOf => {
                 let ty = ctype_arg(0)?;
                 Ok(Value::Integer(IntegerValue::pure(i128::from(
-                    self.mem.align_of(&ty)?,
+                    self.mem.align_of(ty)?,
                 ))))
             }
             BuiltinFn::IsSigned => {
@@ -463,7 +491,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
     }
 
     /// Evaluate a pure expression.
-    pub fn eval_pexpr(&mut self, env: &mut Env, pe: &PExpr) -> Result<Value, Stop> {
+    pub fn eval_pexpr(&mut self, env: &mut Env<'a>, pe: &'a PExpr) -> Result<Value, Stop> {
         match pe {
             PExpr::Sym(name) => self.lookup(env, name),
             PExpr::Unit => Ok(Value::Unit),
@@ -477,7 +505,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 detail: "explicit undef reached".into(),
             }),
             PExpr::Error(msg) => Err(Stop::Error(msg.clone())),
-            PExpr::Specified(inner) => Ok(Value::Specified(Box::new(self.eval_pexpr(env, inner)?))),
+            PExpr::Specified(inner) => Ok(Value::specified(self.eval_pexpr(env, inner)?)),
             PExpr::Unspecified(ty) => Ok(Value::Unspecified(ty.clone())),
             PExpr::Tuple(items) => {
                 let mut out = Vec::with_capacity(items.len());
@@ -535,10 +563,8 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             PExpr::Case(scrutinee, arms) => {
                 let v = self.eval_pexpr(env, scrutinee)?;
                 for (pat, body) in arms {
-                    if let Some(bindings) = Self::match_pattern(pat, &v) {
-                        for (name, value) in bindings {
-                            env.insert(name, value);
-                        }
+                    if Self::pattern_matches(pat, &v) {
+                        Self::bind_matched(env, pat, v);
                         return self.eval_pexpr(env, body);
                     }
                 }
@@ -550,11 +576,17 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 self.eval_pexpr(env, body)
             }
             PExpr::Builtin(f, args) => {
-                let mut vs = Vec::with_capacity(args.len());
-                for a in args {
-                    vs.push(self.eval_pexpr(env, a)?);
+                // Every builtin reads at most its first two arguments, so they
+                // are evaluated into a stack array; any further argument is
+                // evaluated (it may stop the execution) and dropped.
+                let mut vs = [Value::Unit, Value::Unit];
+                for (i, a) in args.iter().enumerate() {
+                    let v = self.eval_pexpr(env, a)?;
+                    if let Some(slot) = vs.get_mut(i) {
+                        *slot = v;
+                    }
                 }
-                self.eval_builtin(*f, &vs)
+                self.eval_builtin(*f, &vs[..args.len().min(vs.len())])
             }
             PExpr::ArrayShift {
                 ptr,
@@ -596,7 +628,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
         Err(Stop::Error(format!("expected a pointer operand, got {v}")))
     }
 
-    fn eval_memop(&mut self, env: &mut Env, op: PtrOp, args: &[PExpr]) -> EResult {
+    fn eval_memop(&mut self, env: &mut Env<'a>, op: PtrOp, args: &'a [PExpr]) -> EResult<'a> {
         let mut values = Vec::with_capacity(args.len());
         for a in args {
             values.push(self.eval_pexpr(env, a)?);
@@ -631,9 +663,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 };
                 let size = self.mem.size_of(&elem_ty)?;
                 let diff = self.mem.ptr_diff(&a, &b, size)?;
-                Ok(Flow::Value(Value::Specified(Box::new(Value::Integer(
-                    diff,
-                )))))
+                Ok(Flow::Value(Value::specified(Value::Integer(diff))))
             }
             PtrOp::IntFromPtr => {
                 let p = self.pointer_operand(&values[0])?;
@@ -644,16 +674,16 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 let iv = self.mem.int_from_ptr(&p);
                 let it = target.as_integer().unwrap_or(IntegerType::UintptrT);
                 let converted = self.mem.env().convert_int(iv.value, it);
-                Ok(Flow::Value(Value::Specified(Box::new(Value::Integer(
+                Ok(Flow::Value(Value::specified(Value::Integer(
                     IntegerValue::with_prov(converted, iv.prov),
-                )))))
+                ))))
             }
             PtrOp::PtrFromInt => {
                 let iv = values[0]
                     .as_integer_value()
                     .ok_or_else(|| Stop::Error("ptrFromInt of a non-integer".into()))?;
                 let p = self.mem.ptr_from_int(&iv);
-                Ok(Flow::Value(Value::Specified(Box::new(Value::Pointer(p)))))
+                Ok(Flow::Value(Value::specified(Value::Pointer(p))))
             }
             PtrOp::ValidForDeref => {
                 let p = self.pointer_operand(&values[0])?;
@@ -666,13 +696,32 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
         }
     }
 
-    fn eval_action(&mut self, env: &mut Env, action: &MemAction, negative: bool) -> EResult {
+    /// The C type a memory action's type operand denotes: borrowed from the
+    /// program when the operand is a constant, as the elaborator emits it.
+    fn ctype_operand(
+        &mut self,
+        env: &mut Env<'a>,
+        operand: &'a PExpr,
+        what: &str,
+    ) -> Result<Cow<'a, Ctype>, Stop> {
+        if let PExpr::CtypeConst(ty) = operand {
+            return Ok(Cow::Borrowed(ty));
+        }
+        match self.eval_pexpr(env, operand)? {
+            Value::Ctype(ty) => Ok(Cow::Owned(ty)),
+            other => Err(Stop::Error(format!("{what} a non-type {other}"))),
+        }
+    }
+
+    fn eval_action(
+        &mut self,
+        env: &mut Env<'a>,
+        action: &'a MemAction,
+        negative: bool,
+    ) -> EResult<'a> {
         match action {
             MemAction::Create { ty, .. } => {
-                let ty = match self.eval_pexpr(env, ty)? {
-                    Value::Ctype(ty) => ty,
-                    other => return Err(Stop::Error(format!("create of a non-type {other}"))),
-                };
+                let ty = self.ctype_operand(env, ty, "create of")?;
                 let ptr = self.mem.create(&ty, AllocKind::Automatic, None)?;
                 Ok(Flow::Value(Value::Pointer(ptr)))
             }
@@ -692,10 +741,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 Ok(Flow::Value(Value::Unit))
             }
             MemAction::Store { ty, ptr, value, .. } => {
-                let ty = match self.eval_pexpr(env, ty)? {
-                    Value::Ctype(ty) => ty,
-                    other => return Err(Stop::Error(format!("store at a non-type {other}"))),
-                };
+                let ty = self.ctype_operand(env, ty, "store at")?;
                 let p = self.eval_pexpr(env, ptr)?;
                 let p = self.pointer_operand(&p)?;
                 let v = self.eval_pexpr(env, value)?;
@@ -705,10 +751,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 Ok(Flow::Value(Value::Unit))
             }
             MemAction::Load { ty, ptr, .. } => {
-                let ty = match self.eval_pexpr(env, ty)? {
-                    Value::Ctype(ty) => ty,
-                    other => return Err(Stop::Error(format!("load at a non-type {other}"))),
-                };
+                let ty = self.ctype_operand(env, ty, "load at")?;
                 let p = self.eval_pexpr(env, ptr)?;
                 let p = self.pointer_operand(&p)?;
                 let len = self.mem.size_of(&ty)?;
@@ -743,7 +786,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
     /// Evaluate `e` in "seeking" mode: skip everything until the `save` for
     /// `label` is reached, evaluate its body, then continue normally with the
     /// remainder of `e`. This realises forward `goto`s and `switch` dispatch.
-    fn eval_seeking(&mut self, env: &mut Env, e: &Expr, label: &Ident) -> EResult {
+    fn eval_seeking(&mut self, env: &mut Env<'a>, e: &'a Expr, label: &Ident) -> EResult<'a> {
         self.tick()?;
         match e {
             Expr::Save(l, body) => {
@@ -753,7 +796,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                     // Seek inside, then keep this save active for later jumps.
                     let flow = self.eval_seeking(env, body, label)?;
                     match flow {
-                        Flow::Jump(j) if &j == l => self.eval_save(env, l, body),
+                        Flow::Jump(j) if j == l => self.eval_save(env, l, body),
                         other => Ok(other),
                     }
                 } else {
@@ -765,7 +808,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             Expr::Exit(l, body) => {
                 let flow = self.eval_seeking(env, body, label)?;
                 match flow {
-                    Flow::Jump(j) if &j == l => Ok(Flow::Value(Value::Unit)),
+                    Flow::Jump(j) if j == l => Ok(Flow::Value(Value::Unit)),
                     other => Ok(other),
                 }
             }
@@ -778,8 +821,8 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                             self.eval_expr(env, b)
                         }
                         Flow::Jump(l) => {
-                            if Self::contains_save(b, &l) {
-                                self.eval_seeking(env, b, &l)
+                            if Self::contains_save(b, l) {
+                                self.eval_seeking(env, b, l)
                             } else {
                                 Ok(Flow::Jump(l))
                             }
@@ -824,11 +867,11 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
         }
     }
 
-    fn eval_save(&mut self, env: &mut Env, label: &Ident, body: &Expr) -> EResult {
+    fn eval_save(&mut self, env: &mut Env<'a>, label: &Ident, body: &'a Expr) -> EResult<'a> {
         loop {
             self.tick()?;
             match self.eval_expr(env, body)? {
-                Flow::Jump(l) if &l == label => continue,
+                Flow::Jump(l) if l == label => continue,
                 other => return Ok(other),
             }
         }
@@ -837,7 +880,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
     // ----- effectful expressions ------------------------------------------------------
 
     /// Evaluate an effectful Core expression.
-    pub fn eval_expr(&mut self, env: &mut Env, e: &Expr) -> EResult {
+    pub fn eval_expr(&mut self, env: &mut Env<'a>, e: &'a Expr) -> EResult<'a> {
         self.tick()?;
         match e {
             Expr::Pure(pe) => Ok(Flow::Value(self.eval_pexpr(env, pe)?)),
@@ -850,10 +893,8 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             Expr::Case(scrutinee, arms) => {
                 let v = self.eval_pexpr(env, scrutinee)?;
                 for (pat, body) in arms {
-                    if let Some(bindings) = Self::match_pattern(pat, &v) {
-                        for (name, value) in bindings {
-                            env.insert(name, value);
-                        }
+                    if Self::pattern_matches(pat, &v) {
+                        Self::bind_matched(env, pat, v);
                         return self.eval_expr(env, body);
                     }
                 }
@@ -894,7 +935,24 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 for a in args {
                     arg_values.push(self.eval_pexpr(env, a)?);
                 }
-                Ok(Flow::Value(self.call_named(name.as_str(), arg_values)?))
+                if let Some(result) = builtins::call_builtin(self, name.as_str(), &arg_values) {
+                    return Ok(Flow::Value(result?));
+                }
+                let proc = self.proc(name.as_str())?;
+                if !proc.accepts_arity(arg_values.len()) {
+                    // Only a call through a converted function pointer gets
+                    // here: the front end rejects direct calls of the wrong
+                    // arity (6.5.2.2p9, 6.3.2.3p8).
+                    return Err(Stop::Undef {
+                        ub: UbKind::IncompatibleFunctionCall,
+                        detail: format!(
+                            "call of {name}, which takes {} arguments, with {}",
+                            proc.params.len(),
+                            arg_values.len()
+                        ),
+                    });
+                }
+                Ok(Flow::Value(self.call_proc(proc, arg_values)?))
             }
             Expr::Unseq(items) => self.eval_unseq(env, items),
             Expr::Wseq(pat, a, b) => {
@@ -921,15 +979,15 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                             });
                         }
                         match flow {
-                            Flow::Jump(l) if Self::contains_save(a, &l) => {
-                                self.eval_seeking(env, a, &l)
+                            Flow::Jump(l) if Self::contains_save(a, l) => {
+                                self.eval_seeking(env, a, l)
                             }
                             other => Ok(other),
                         }
                     }
                     Flow::Jump(l) => {
-                        if Self::contains_save(b, &l) {
-                            self.eval_seeking(env, b, &l)
+                        if Self::contains_save(b, l) {
+                            self.eval_seeking(env, b, l)
                         } else {
                             Ok(Flow::Jump(l))
                         }
@@ -942,18 +1000,18 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                     Flow::Value(v) => {
                         Self::bind(env, pat, v)?;
                         match self.eval_expr(env, b)? {
-                            Flow::Jump(l) if Self::contains_save(a, &l) => {
+                            Flow::Jump(l) if Self::contains_save(a, l) => {
                                 // A backward jump to a label in the already
                                 // evaluated part of the sequence: re-enter it
                                 // seeking the label.
-                                self.eval_seeking(env, a, &l)
+                                self.eval_seeking(env, a, l)
                             }
                             other => Ok(other),
                         }
                     }
                     Flow::Jump(l) => {
-                        if Self::contains_save(b, &l) {
-                            self.eval_seeking(env, b, &l)
+                        if Self::contains_save(b, l) {
+                            self.eval_seeking(env, b, l)
                         } else {
                             Ok(Flow::Jump(l))
                         }
@@ -985,10 +1043,10 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             }
             Expr::Save(label, body) => self.eval_save(env, label, body),
             Expr::Exit(label, body) => match self.eval_expr(env, body)? {
-                Flow::Jump(l) if &l == label => Ok(Flow::Value(Value::Unit)),
+                Flow::Jump(l) if l == label => Ok(Flow::Value(Value::Unit)),
                 other => Ok(other),
             },
-            Expr::Run(label) => Ok(Flow::Jump(label.clone())),
+            Expr::Run(label) => Ok(Flow::Jump(label)),
             Expr::Return(value) => {
                 let v = self.eval_pexpr(env, value)?;
                 Ok(Flow::Return(v))
@@ -1016,7 +1074,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
         }
     }
 
-    fn eval_unseq(&mut self, env: &mut Env, items: &[Expr]) -> EResult {
+    fn eval_unseq(&mut self, env: &mut Env<'a>, items: &'a [Expr]) -> EResult<'a> {
         let n = items.len();
         if n == 0 {
             return Ok(Flow::Value(Value::Tuple(Vec::new())));
@@ -1053,5 +1111,109 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             }
         }
         Ok(Flow::Value(Value::Tuple(results)))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::driver::RandomOracle;
+    use cerberus_ast::env::ImplEnv;
+    use cerberus_ast::layout::TagRegistry;
+    use cerberus_memory::config::ModelConfig;
+    use cerberus_memory::model::ConcreteEngine;
+
+    fn concrete() -> ConcreteEngine {
+        ModelConfig::concrete().instantiate_concrete(ImplEnv::lp64(), TagRegistry::new())
+    }
+
+    fn int_ty() -> Ctype {
+        Ctype::integer(IntegerType::Int)
+    }
+
+    fn specified(p: Pattern) -> Pattern {
+        Pattern::Specified(Box::new(p))
+    }
+
+    fn bind(pat: &Pattern, value: Value) -> Result<Env<'_>, Stop> {
+        let mut env = Env::new();
+        Interp::<ConcreteEngine>::bind(&mut env, pat, value)?;
+        Ok(env)
+    }
+
+    #[test]
+    fn nested_patterns_bind_each_symbol_to_its_part() {
+        let pat = Pattern::Tuple(vec![
+            specified(Pattern::sym("a")),
+            Pattern::Tuple(vec![Pattern::sym("b"), Pattern::Wildcard]),
+            Pattern::Unspecified(Box::new(Pattern::sym("t"))),
+            Pattern::Tuple(vec![Pattern::sym("c")]),
+            Pattern::sym("d"),
+        ]);
+        let value = Value::Tuple(vec![
+            Value::specified_int(1),
+            Value::Tuple(vec![Value::Bool(true), Value::Unit]),
+            Value::Unspecified(int_ty()),
+            Value::specified_int(3),
+            Value::Tuple(vec![Value::Unit]),
+        ]);
+        let env = bind(&pat, value).unwrap();
+        let expected = Env::from([
+            ("a", Value::Integer(IntegerValue::pure(1))),
+            ("b", Value::Bool(true)),
+            ("t", Value::Ctype(int_ty())),
+            ("c", Value::specified_int(3)),
+            ("d", Value::Tuple(vec![Value::Unit])),
+        ]);
+        assert_eq!(env, expected);
+    }
+
+    #[test]
+    fn a_failed_match_binds_nothing_and_names_the_value() {
+        // The first component matches, the second does not.
+        let pat = Pattern::Tuple(vec![Pattern::sym("x"), specified(Pattern::sym("y"))]);
+        let value = Value::Tuple(vec![Value::Unit, Value::Unspecified(int_ty())]);
+        assert_eq!(
+            bind(&pat, value),
+            Err(Stop::Error(
+                "pattern match failure binding (Unit, Unspecified('int'))".into()
+            ))
+        );
+        assert_eq!(
+            bind(&specified(Pattern::sym("z")), Value::Unit),
+            Err(Stop::Error("pattern match failure binding Unit".into()))
+        );
+    }
+
+    #[test]
+    fn a_case_arm_that_does_not_match_leaves_the_environment_untouched() {
+        let arm = |pat: Pattern, result: i128| (pat, PExpr::Integer(result));
+        let case = PExpr::Case(
+            Box::new(PExpr::Tuple(vec![
+                PExpr::Integer(1),
+                PExpr::Unspecified(int_ty()),
+            ])),
+            vec![
+                arm(
+                    Pattern::Tuple(vec![Pattern::sym("x"), specified(Pattern::sym("y"))]),
+                    6,
+                ),
+                arm(
+                    Pattern::Tuple(vec![Pattern::Wildcard, Pattern::sym("z")]),
+                    7,
+                ),
+            ],
+        );
+        let program = CoreProgram::default();
+        let mut oracle = RandomOracle::new(0);
+        let mut interp = Interp::new(&program, concrete(), &mut oracle, ResourceLimits::default());
+        let mut env = Env::from([("x", Value::Bool(false))]);
+        let result = interp.eval_pexpr(&mut env, &case).unwrap();
+        assert_eq!(result, Value::Integer(IntegerValue::pure(7)));
+        let expected = Env::from([
+            ("x", Value::Bool(false)),
+            ("z", Value::Unspecified(int_ty())),
+        ]);
+        assert_eq!(env, expected);
     }
 }

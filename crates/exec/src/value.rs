@@ -1,5 +1,7 @@
 //! Runtime values of the Core operational semantics.
 
+use std::rc::Rc;
+
 use cerberus_ast::ctype::{Ctype, IntegerType};
 use cerberus_memory::value::{IntegerValue, MemValue, PointerValue};
 
@@ -21,16 +23,22 @@ pub enum Value {
     /// A composite object value (struct/union/array), kept in memory-value
     /// form.
     Object(MemValue),
-    /// A loaded, specified value.
-    Specified(Box<Value>),
+    /// A loaded, specified value. Shared, so binding and looking it up
+    /// copies no more than a reference count.
+    Specified(Rc<Value>),
     /// A loaded, unspecified value of the recorded C type.
     Unspecified(Ctype),
 }
 
 impl Value {
+    /// A specified value.
+    pub fn specified(v: Value) -> Value {
+        Value::Specified(Rc::new(v))
+    }
+
     /// A specified integer.
     pub fn specified_int(v: i128) -> Value {
-        Value::Specified(Box::new(Value::Integer(IntegerValue::pure(v))))
+        Value::specified(Value::Integer(IntegerValue::pure(v)))
     }
 
     /// The integer inside (possibly wrapped in `Specified`), if any.
@@ -82,7 +90,7 @@ impl Value {
     pub fn loaded_from_mem(mv: MemValue) -> Value {
         match mv {
             MemValue::Unspecified(ty) => Value::Unspecified(ty),
-            other => Value::Specified(Box::new(Value::from_mem(other))),
+            other => Value::specified(Value::from_mem(other)),
         }
     }
 

@@ -332,6 +332,12 @@ impl MemState {
             readonly,
             bytes: vec![init_byte; size as usize],
         };
+        debug_assert!(
+            self.allocations
+                .last()
+                .is_none_or(|last| last.end() <= base),
+            "allocation bases must grow monotonically"
+        );
         self.next_addr = base + size;
         self.allocations.push(alloc);
         let cap = if self.config.cheri {
@@ -476,10 +482,20 @@ impl MemState {
             .ok_or_else(|| MemError::new(UbKind::InvalidFree, "pointer into no live allocation"))
     }
 
+    /// The live allocation whose footprint holds `addr`, found by binary
+    /// search.
+    ///
+    /// Each object starts at or after the end of the one made before it
+    /// (`next_addr` only grows; see `push_allocation`), so `allocations` is
+    /// sorted by base and footprints never overlap. The only candidate is
+    /// therefore the last allocation starting at or below `addr`. When that
+    /// one is zero-size it holds no address, and every earlier object ends at
+    /// or below its base, so no allocation holds `addr`.
     fn find_alloc_by_addr(&self, addr: u64) -> Option<&Allocation> {
-        self.allocations
-            .iter()
-            .find(|a| a.alive && addr >= a.base && addr < a.end())
+        let below = self.allocations.partition_point(|a| a.base <= addr);
+        self.allocations[..below]
+            .last()
+            .filter(|a| a.alive && addr < a.end())
     }
 
     // ----- access checking ---------------------------------------------------
@@ -913,16 +929,15 @@ impl MemState {
         // Shadowed GCC-like loads: a load through a provenance whose store was
         // redirected reads the shadow.
         if self.config.provenance_optimising_stores && self.is_one_past_store(ptr, len) {
-            if let Some(bytes) = self.shadow.get(&ptr.addr).cloned() {
-                return self.deserialize(ty, &bytes);
+            if let Some(bytes) = self.shadow.get(&ptr.addr) {
+                return self.deserialize(ty, bytes);
             }
         }
         let id = self.check_access(ptr, len, false)?;
         self.check_effective_type(id, ty, false)?;
         let alloc = &self.allocations[id as usize];
         let start = (ptr.addr - alloc.base) as usize;
-        let bytes: Vec<AbsByte> = alloc.bytes[start..start + len as usize].to_vec();
-        let value = self.deserialize(ty, &bytes)?;
+        let value = self.deserialize(ty, &alloc.bytes[start..start + len as usize])?;
         if value.is_unspecified()
             && ty.is_scalar()
             && !ty.is_character()
@@ -1218,6 +1233,8 @@ mod tests {
     use super::*;
     use cerberus_ast::ctype::Member;
     use cerberus_ast::layout::TagKind;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     fn int_ty() -> Ctype {
         Ctype::integer(IntegerType::Int)
@@ -1606,6 +1623,128 @@ mod tests {
         assert_eq!(
             mem.ptr_diff(&other, &a, 4).unwrap_err().ub(),
             Some(UbKind::PointerSubtractionDifferentObjects)
+        );
+    }
+
+    /// The linear scan `find_alloc_by_addr` replaced, kept as its reference:
+    /// the first live allocation whose footprint holds `addr`.
+    fn find_alloc_by_scan(mem: &MemState, addr: u64) -> Option<AllocId> {
+        mem.allocations
+            .iter()
+            .find(|a| a.alive && addr >= a.base && addr < a.end())
+            .map(|a| a.id)
+    }
+
+    fn lookup(mem: &MemState, addr: u64) -> Option<AllocId> {
+        mem.find_alloc_by_addr(addr).map(|a| a.id)
+    }
+
+    /// Every address at an allocation edge (and a few around them) finds
+    /// the same allocation by binary search as by the reference scan.
+    fn assert_lookup_matches_scan(mem: &MemState, rng: &mut TestRng) {
+        let mut probes = vec![0, OBJECT_BASE - 1, mem.next_addr, mem.next_addr + 1];
+        for a in &mem.allocations {
+            // One before, the base, the last byte, one past the end (an
+            // alignment gap or the next object's base) and one beyond.
+            probes.extend([a.base.saturating_sub(1), a.base, a.end().saturating_sub(1)]);
+            probes.extend([a.end(), a.end() + 1]);
+        }
+        for _ in 0..16 {
+            probes.push(OBJECT_BASE - 4 + rng.below(mem.next_addr - OBJECT_BASE + 8));
+        }
+        for addr in probes {
+            assert_eq!(
+                lookup(mem, addr),
+                find_alloc_by_scan(mem, addr),
+                "lookup of 0x{addr:x}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn address_lookup_agrees_with_a_linear_scan(seed in any::<u64>(), ops in 1usize..48) {
+            let mut rng = TestRng::deterministic(&seed.to_string());
+            let mut mem = new_state(ModelConfig::concrete());
+            // Zero-size objects (`int[0]`) share their base with the next
+            // object; the mixed alignments leave gaps between objects.
+            let types = [
+                Ctype::array(int_ty(), 0),
+                Ctype::integer(IntegerType::Char),
+                int_ty(),
+                Ctype::integer(IntegerType::LongLong),
+                Ctype::array(Ctype::integer(IntegerType::Char), 3),
+            ];
+            let mut live: Vec<PointerValue> = Vec::new();
+            for _ in 0..ops {
+                match rng.below(3) {
+                    0 => {
+                        let ty = &types[rng.below(types.len() as u64) as usize];
+                        live.push(mem.create(ty, AllocKind::Automatic, None).unwrap());
+                    }
+                    1 => {
+                        let size = rng.below(65);
+                        let align = 1 << rng.below(5);
+                        live.push(mem.alloc(size, align).unwrap());
+                    }
+                    _ if !live.is_empty() => {
+                        let victim = live.swap_remove(rng.below(live.len() as u64) as usize);
+                        mem.kill(&victim, false).unwrap();
+                    }
+                    _ => {}
+                }
+            }
+            assert_lookup_matches_scan(&mem, &mut rng);
+        }
+    }
+
+    #[test]
+    fn a_zero_size_object_holds_no_address_of_the_object_after_it() {
+        let mut mem = new_state(ModelConfig::concrete());
+        let x = mem.create(&int_ty(), AllocKind::Automatic, None).unwrap();
+        let empty = mem
+            .create(&Ctype::array(int_ty(), 0), AllocKind::Automatic, None)
+            .unwrap();
+        let y = mem.create(&int_ty(), AllocKind::Automatic, None).unwrap();
+        assert_eq!(empty.addr, x.addr + 4);
+        assert_eq!(y.addr, empty.addr);
+        assert_eq!(lookup(&mem, empty.addr), y.prov.alloc_id());
+        assert_eq!(lookup(&mem, x.addr + 3), x.prov.alloc_id());
+        mem.kill(&y, false).unwrap();
+        assert_eq!(lookup(&mem, empty.addr), None);
+        assert_eq!(lookup(&mem, x.addr), x.prov.alloc_id());
+    }
+
+    #[test]
+    fn concrete_wildcard_access_after_a_zero_size_malloc() {
+        let mut mem = new_state(ModelConfig::concrete());
+        // malloc(0) still returns a unique one-byte block.
+        let block = mem.alloc(0, 16).unwrap();
+        let x = mem.create(&int_ty(), AllocKind::Automatic, None).unwrap();
+        mem.store(&int_ty(), &x, &MemValue::int(IntegerType::Int, 5))
+            .unwrap();
+        let through_int = |mem: &MemState, p: &PointerValue| {
+            let wild = mem.ptr_from_int(&mem.int_from_ptr(p));
+            assert_eq!(wild.prov, Provenance::Wildcard);
+            wild
+        };
+        let wild_x = through_int(&mem, &x);
+        assert_eq!(mem.load(&int_ty(), &wild_x).unwrap().as_int(), Some(5));
+        let wild_block = through_int(&mem, &block);
+        let char_ty = Ctype::integer(IntegerType::Char);
+        mem.store(&char_ty, &wild_block, &MemValue::int(IntegerType::Char, 7))
+            .unwrap();
+        assert_eq!(mem.load(&char_ty, &wild_block).unwrap().as_int(), Some(7));
+        assert_eq!(
+            mem.load(&int_ty(), &wild_block).unwrap_err().detail,
+            "access straddles allocations"
+        );
+        mem.kill(&block, true).unwrap();
+        assert_eq!(
+            mem.load(&char_ty, &wild_block).unwrap_err().ub(),
+            Some(UbKind::OutOfBoundsAccess)
         );
     }
 }

@@ -2,6 +2,7 @@
 //! pipeline (parser → Ail → Core → evaluator → memory model).
 
 use cerberus::pipeline::{run, run_with_model, Config, Session};
+use cerberus_ast::ub::UbKind;
 use cerberus_exec::driver::ExecResult;
 use cerberus_memory::config::ModelConfig;
 
@@ -196,4 +197,43 @@ fn ilp32_environment_changes_long_width() {
     let out = Session::new(config).run_source(src).unwrap();
     assert!(matches!(out.outcomes[0].result, ExecResult::Return(4)));
     assert_eq!(exit_of(src), 8, "LP64 default");
+}
+
+#[test]
+fn calls_through_a_pointer_of_the_wrong_arity_are_undefined() {
+    // 6.5.2.2p9 / 6.3.2.3p8: calling a function through a pointer to an
+    // incompatible function type is undefined, whether the call supplies
+    // too few arguments or too many.
+    let cases = [
+        "int f(int a, int b) { return a + b; }
+         int main(void) { int (*g)(int) = (int (*)(int))f; return g(1); }",
+        "int f(int a) { return a; }
+         int main(void) { int (*g)(int, int) = (int (*)(int, int))f; return g(1, 2); }",
+        "int f(void) { return 3; }
+         int main(void) { int (*g)(int) = (int (*)(int))f; return g(1); }",
+    ];
+    for src in cases {
+        for model in [
+            ModelConfig::concrete(),
+            ModelConfig::de_facto(),
+            ModelConfig::symbolic(),
+        ] {
+            let out = run_with_model(src, model.clone()).expect("program is well-formed");
+            assert_eq!(
+                out.outcomes[0].result.ub_kind(),
+                Some(UbKind::IncompatibleFunctionCall),
+                "model {}, program {src}: {:?}",
+                model.name,
+                out.outcomes[0]
+            );
+        }
+    }
+    // A call through a pointer of the function's own type is fine, and a
+    // variadic function takes arguments beyond its parameters.
+    let matching = "int f(int a, int b) { return a + b; }
+        int main(void) { int (*g)(int, int) = f; return g(40, 2); }";
+    assert_eq!(exit_of(matching), 42);
+    let variadic = "int f(int a, ...) { return a; }
+        int main(void) { int (*g)(int, ...) = f; return f(40, 1) + g(2, 3, 4); }";
+    assert_eq!(exit_of(variadic), 42);
 }
