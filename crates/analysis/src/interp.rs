@@ -2885,10 +2885,28 @@ mod tests {
     use super::*;
     use crate::analyze;
     use cerberus_core::program::CoreProc;
-    use cerberus_core::syntax::MemOrder;
+    use cerberus_core::syntax::{MemOrder, Slot, Sym};
 
     fn int_ty() -> Ctype {
         Ctype::integer(IntegerType::Int)
+    }
+
+    /// The slot each symbol of the hand-built bodies below lives in.
+    fn slot(name: &str) -> Slot {
+        match name {
+            "p" => Slot::Local(0),
+            "v" => Slot::Local(1),
+            "lit" => Slot::Static(0),
+            _ => Slot::Local(2),
+        }
+    }
+
+    fn sym(name: &str) -> PExpr {
+        PExpr::Sym(Sym::new(name, slot(name)))
+    }
+
+    fn binder(name: &str) -> Pattern {
+        Pattern::Sym(Sym::new(name, slot(name)))
     }
 
     fn proc_program(body: Expr) -> CoreProgram {
@@ -2901,6 +2919,7 @@ mod tests {
                 variadic: false,
                 return_ty: int_ty(),
                 body,
+                frame_size: 3,
             },
         );
         p.main = Some(Ident::new("main"));
@@ -2922,7 +2941,7 @@ mod tests {
             Polarity::Positive,
             MemAction::Store {
                 ty: Box::new(PExpr::CtypeConst(int_ty())),
-                ptr: Box::new(PExpr::sym(ptr)),
+                ptr: Box::new(sym(ptr)),
                 value: Box::new(value),
                 order: MemOrder::NA,
             },
@@ -2934,7 +2953,7 @@ mod tests {
             Polarity::Positive,
             MemAction::Load {
                 ty: Box::new(PExpr::CtypeConst(int_ty())),
-                ptr: Box::new(PExpr::sym(ptr)),
+                ptr: Box::new(sym(ptr)),
                 order: MemOrder::NA,
             },
         )
@@ -2955,18 +2974,18 @@ mod tests {
         // if (unknown) then Undef else pure — the analyzer cannot decide the
         // condition, so the finding is May.
         let body = Expr::Sseq(
-            Pattern::sym("p"),
+            binder("p"),
             Box::new(create_int()),
             Box::new(Expr::Sseq(
                 Pattern::Wildcard,
                 Box::new(store_int("p", PExpr::specified_int(1))),
                 Box::new(Expr::Sseq(
-                    Pattern::sym("v"),
+                    binder("v"),
                     Box::new(load_int("p")),
                     Box::new(Expr::If(
                         PExpr::Binop(
                             Binop::Eq,
-                            Box::new(PExpr::sym("unbound")),
+                            Box::new(sym("unbound")),
                             Box::new(PExpr::Integer(0)),
                         ),
                         Box::new(Expr::Pure(PExpr::Undef(UbKind::ShiftTooLarge))),
@@ -2984,11 +3003,7 @@ mod tests {
 
     #[test]
     fn load_before_store_is_indeterminate() {
-        let body = Expr::Sseq(
-            Pattern::sym("p"),
-            Box::new(create_int()),
-            Box::new(load_int("p")),
-        );
+        let body = Expr::Sseq(binder("p"), Box::new(create_int()), Box::new(load_int("p")));
         let report = analyze(&proc_program(body), &ImplEnv::default());
         assert_eq!(
             report.reports(UbKind::IndeterminateValueUse),
@@ -2999,7 +3014,7 @@ mod tests {
     #[test]
     fn initialised_load_is_clean() {
         let body = Expr::Sseq(
-            Pattern::sym("p"),
+            binder("p"),
             Box::new(create_int()),
             Box::new(Expr::Sseq(
                 Pattern::Wildcard,
@@ -3014,7 +3029,7 @@ mod tests {
     #[test]
     fn access_after_kill_is_outside_lifetime() {
         let body = Expr::Sseq(
-            Pattern::sym("p"),
+            binder("p"),
             Box::new(create_int()),
             Box::new(Expr::Sseq(
                 Pattern::Wildcard,
@@ -3023,7 +3038,7 @@ mod tests {
                     Pattern::Wildcard,
                     Box::new(Expr::Action(
                         Polarity::Positive,
-                        MemAction::Kill(Box::new(PExpr::sym("p"))),
+                        MemAction::Kill(Box::new(sym("p"))),
                     )),
                     Box::new(load_int("p")),
                 )),
@@ -3039,7 +3054,7 @@ mod tests {
     #[test]
     fn null_store_is_flagged() {
         let body = Expr::Sseq(
-            Pattern::sym("p"),
+            binder("p"),
             Box::new(Expr::Pure(PExpr::NullPtr(int_ty()))),
             Box::new(store_int("p", PExpr::specified_int(1))),
         );
@@ -3055,11 +3070,11 @@ mod tests {
         let free = |p: &str| {
             Expr::Ccall(
                 Box::new(PExpr::FunctionPtr(Ident::new("free"))),
-                vec![PExpr::sym(p)],
+                vec![sym(p)],
             )
         };
         let body = Expr::Sseq(
-            Pattern::Tuple(vec![Pattern::Specified(Box::new(Pattern::sym("p")))]),
+            Pattern::Tuple(vec![Pattern::Specified(Box::new(binder("p")))]),
             Box::new(Expr::Ccall(
                 Box::new(PExpr::FunctionPtr(Ident::new("malloc"))),
                 vec![PExpr::specified_int(4)],
@@ -3115,21 +3130,15 @@ mod tests {
         inner_then: Expr,
         inner_else: Expr,
     ) -> CoreProgram {
-        let v_is_zero = || {
-            PExpr::Binop(
-                Binop::Eq,
-                Box::new(PExpr::sym("v")),
-                Box::new(PExpr::Integer(0)),
-            )
-        };
+        let v_is_zero = || PExpr::Binop(Binop::Eq, Box::new(sym("v")), Box::new(PExpr::Integer(0)));
         let body = Expr::Sseq(
-            Pattern::sym("p"),
+            binder("p"),
             Box::new(create_int()),
             Box::new(Expr::Sseq(
                 Pattern::Wildcard,
-                Box::new(store_int("p", PExpr::sym("junk"))),
+                Box::new(store_int("p", sym("junk"))),
                 Box::new(Expr::Sseq(
-                    Pattern::sym("v"),
+                    binder("v"),
                     Box::new(load_int("p")),
                     Box::new(Expr::If(
                         v_is_zero(),

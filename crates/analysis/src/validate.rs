@@ -12,6 +12,10 @@
 //!
 //! * **binding discipline** — every `Sym` is bound by an enclosing pattern, a
 //!   procedure parameter, a global, or a string-literal object;
+//! * **slot discipline** — every use reads the slot its binder writes, every
+//!   binder's slot is a local slot below the frame size of its procedure or
+//!   global initialiser (parameter `i` is slot `i`), and every static slot
+//!   names the global or string literal with that index;
 //! * **pattern arity** — a tuple pattern destructuring a literal tuple value
 //!   names exactly as many components as the value has;
 //! * **call-target resolution** — every `Ccall` names a defined procedure or
@@ -25,10 +29,9 @@
 use std::collections::HashSet;
 
 use cerberus_ast::diag::ConstraintViolation;
-use cerberus_ast::ident::Ident;
 use cerberus_ast::loc::Span;
 use cerberus_core::program::CoreProgram;
-use cerberus_core::syntax::{BuiltinFn, Expr, MemAction, PExpr, Pattern};
+use cerberus_core::syntax::{BuiltinFn, Expr, MemAction, PExpr, Pattern, Slot, Sym};
 
 /// The builtin C library functions the execution environment provides; a
 /// `Ccall` to one of these resolves even though no Core procedure exists.
@@ -44,10 +47,14 @@ pub fn builtin_names() -> &'static [&'static str] {
 /// internal-representation invariants, not ISO C constraints).
 const CORE_CLAUSE: &str = "Core well-formedness";
 
+/// The symbols in scope, innermost last: each binder's name and slot.
+type Scope<'a> = Vec<(&'a str, Slot)>;
+
 struct Validator<'a> {
     program: &'a CoreProgram,
-    /// Symbols visible everywhere: globals and string-literal objects.
-    statics: HashSet<String>,
+    /// The frame size of the procedure or global initialiser under
+    /// validation.
+    frame_size: u32,
     /// All `save`/`exit` labels of the procedure under validation.
     labels: HashSet<String>,
     /// Name of the procedure (or pseudo-procedure) under validation.
@@ -66,22 +73,46 @@ impl<'a> Validator<'a> {
 
     // ----- scope helpers ---------------------------------------------------
 
-    fn bind_pattern(pat: &Pattern, scope: &mut Vec<String>) {
+    fn bind_pattern(&mut self, pat: &'a Pattern, scope: &mut Scope<'a>) {
         match pat {
             Pattern::Wildcard => {}
-            Pattern::Sym(name) => scope.push(name.as_str().to_owned()),
+            Pattern::Sym(sym) => {
+                if !matches!(sym.slot, Slot::Local(i) if i < self.frame_size) {
+                    self.violation(format!(
+                        "{}: binder `{sym}` has slot {:?} outside the frame of size {}",
+                        self.context, sym.slot, self.frame_size
+                    ));
+                }
+                scope.push((sym.as_str(), sym.slot));
+            }
             Pattern::Tuple(ps) => {
                 for p in ps {
-                    Self::bind_pattern(p, scope);
+                    self.bind_pattern(p, scope);
                 }
             }
-            Pattern::Specified(p) | Pattern::Unspecified(p) => Self::bind_pattern(p, scope),
+            Pattern::Specified(p) | Pattern::Unspecified(p) => self.bind_pattern(p, scope),
         }
     }
 
-    fn is_bound(&self, name: &Ident, scope: &[String]) -> bool {
-        let text = name.as_str();
-        scope.iter().any(|s| s == text) || self.statics.contains(text)
+    /// A local use must read the slot of its innermost binder; a static use
+    /// must name the static object with its index.
+    fn check_use(&mut self, sym: &Sym, scope: &Scope<'a>) {
+        let problem = match sym.slot {
+            Slot::Static(index) => match self.program.static_name(index) {
+                Some(name) if *name == sym.name => return,
+                Some(name) => format!("`{sym}` reads static slot {index}, which holds `{name}`"),
+                None => format!("`{sym}` reads static slot {index}, past every static object"),
+            },
+            Slot::Local(_) => match scope.iter().rev().find(|(name, _)| *name == sym.as_str()) {
+                Some(&(_, slot)) if slot == sym.slot => return,
+                Some(&(_, slot)) => format!(
+                    "use of `{sym}` reads slot {:?}, but its binder is slot {slot:?}",
+                    sym.slot
+                ),
+                None => format!("unbound Core symbol `{sym}`"),
+            },
+        };
+        self.violation(format!("{}: {problem}", self.context));
     }
 
     /// A tuple pattern must match the arity of a literal tuple value; other
@@ -134,13 +165,9 @@ impl<'a> Validator<'a> {
 
     // ----- node checks -----------------------------------------------------
 
-    fn check_pexpr(&mut self, pe: &PExpr, scope: &mut Vec<String>) {
+    fn check_pexpr(&mut self, pe: &'a PExpr, scope: &mut Scope<'a>) {
         match pe {
-            PExpr::Sym(name) => {
-                if !self.is_bound(name, scope) {
-                    self.violation(format!("{}: unbound Core symbol `{name}`", self.context));
-                }
-            }
+            PExpr::Sym(sym) => self.check_use(sym, scope),
             PExpr::Unit
             | PExpr::Boolean(_)
             | PExpr::Integer(_)
@@ -184,7 +211,7 @@ impl<'a> Validator<'a> {
                 for (pat, body) in arms {
                     self.check_pattern_arity(pat, scrutinee);
                     let depth = scope.len();
-                    Self::bind_pattern(pat, scope);
+                    self.bind_pattern(pat, scope);
                     self.check_pexpr(body, scope);
                     scope.truncate(depth);
                 }
@@ -193,7 +220,7 @@ impl<'a> Validator<'a> {
                 self.check_pexpr(value, scope);
                 self.check_pattern_arity(pat, value);
                 let depth = scope.len();
-                Self::bind_pattern(pat, scope);
+                self.bind_pattern(pat, scope);
                 self.check_pexpr(body, scope);
                 scope.truncate(depth);
             }
@@ -234,7 +261,7 @@ impl<'a> Validator<'a> {
         }
     }
 
-    fn check_action(&mut self, action: &MemAction, scope: &mut Vec<String>) {
+    fn check_action(&mut self, action: &'a MemAction, scope: &mut Scope<'a>) {
         match action {
             MemAction::Create { align, ty } => {
                 self.check_action_type_operand("create", ty);
@@ -271,7 +298,7 @@ impl<'a> Validator<'a> {
         }
     }
 
-    fn check_expr(&mut self, e: &Expr, scope: &mut Vec<String>) {
+    fn check_expr(&mut self, e: &'a Expr, scope: &mut Scope<'a>) {
         match e {
             Expr::Pure(pe) => self.check_pexpr(pe, scope),
             Expr::Memop(_, args) => {
@@ -285,7 +312,7 @@ impl<'a> Validator<'a> {
                 for (pat, body) in arms {
                     self.check_pattern_arity(pat, scrutinee);
                     let depth = scope.len();
-                    Self::bind_pattern(pat, scope);
+                    self.bind_pattern(pat, scope);
                     self.check_expr(body, scope);
                     scope.truncate(depth);
                 }
@@ -294,7 +321,7 @@ impl<'a> Validator<'a> {
                 self.check_pexpr(value, scope);
                 self.check_pattern_arity(pat, value);
                 let depth = scope.len();
-                Self::bind_pattern(pat, scope);
+                self.bind_pattern(pat, scope);
                 self.check_expr(body, scope);
                 scope.truncate(depth);
             }
@@ -305,11 +332,14 @@ impl<'a> Validator<'a> {
             }
             Expr::Skip => {}
             Expr::Ccall(f, args) => {
-                match &**f {
-                    PExpr::FunctionPtr(name) | PExpr::Sym(name)
-                        if self.program.proc(name.as_str()).is_some() =>
-                    {
-                        let proc = &self.program.procs[name.as_str()];
+                let callee = match &**f {
+                    PExpr::FunctionPtr(name) => Some(name),
+                    PExpr::Sym(sym) => Some(&sym.name),
+                    _ => None,
+                };
+                let proc = callee.and_then(|name| self.program.proc(name.as_str()));
+                match (&**f, callee, proc) {
+                    (_, Some(name), Some(proc)) => {
                         if !proc.accepts_arity(args.len()) {
                             self.violation(format!(
                                 "{}: call to `{name}` passes {} arguments, expected {}",
@@ -319,7 +349,7 @@ impl<'a> Validator<'a> {
                             ));
                         }
                     }
-                    PExpr::FunctionPtr(name) => {
+                    (PExpr::FunctionPtr(name), ..) => {
                         if !builtin_names().contains(&name.as_str()) {
                             self.violation(format!(
                                 "{}: call target `{name}` resolves to no procedure or builtin",
@@ -329,7 +359,7 @@ impl<'a> Validator<'a> {
                     }
                     // A call through a computed pointer is only checkable
                     // dynamically; validate the operand expression itself.
-                    other => self.check_pexpr(other, scope),
+                    (other, ..) => self.check_pexpr(other, scope),
                 }
                 for a in args {
                     self.check_pexpr(a, scope);
@@ -343,7 +373,7 @@ impl<'a> Validator<'a> {
             Expr::Wseq(pat, a, b) | Expr::Sseq(pat, a, b) => {
                 self.check_expr(a, scope);
                 let depth = scope.len();
-                Self::bind_pattern(pat, scope);
+                self.bind_pattern(pat, scope);
                 self.check_expr(b, scope);
                 scope.truncate(depth);
             }
@@ -364,21 +394,9 @@ impl<'a> Validator<'a> {
 
 /// Validate a whole Core program, returning *every* violation found.
 pub fn validate(program: &CoreProgram) -> Vec<ConstraintViolation> {
-    let statics: HashSet<String> = program
-        .globals
-        .iter()
-        .map(|g| g.name.as_str().to_owned())
-        .chain(
-            program
-                .string_literals
-                .iter()
-                .map(|(name, _)| name.as_str().to_owned()),
-        )
-        .collect();
-
     let mut validator = Validator {
         program,
-        statics,
+        frame_size: 0,
         labels: HashSet::new(),
         context: String::new(),
         violations: Vec::new(),
@@ -386,6 +404,7 @@ pub fn validate(program: &CoreProgram) -> Vec<ConstraintViolation> {
 
     for global in &program.globals {
         validator.context = format!("global `{}`", global.name);
+        validator.frame_size = global.frame_size;
         validator.labels.clear();
         Validator::collect_labels(&global.init, &mut validator.labels);
         let mut scope = Vec::new();
@@ -397,12 +416,19 @@ pub fn validate(program: &CoreProgram) -> Vec<ConstraintViolation> {
     for name in names {
         let proc = &program.procs[name];
         validator.context = name.clone();
+        validator.frame_size = proc.frame_size;
         validator.labels.clear();
         Validator::collect_labels(&proc.body, &mut validator.labels);
-        let mut scope: Vec<String> = proc
-            .params
-            .iter()
-            .map(|(sym, _)| sym.as_str().to_owned())
+        if proc.params.len() > proc.frame_size as usize {
+            validator.violation(format!(
+                "{name}: {} parameters do not fit a frame of size {}",
+                proc.params.len(),
+                proc.frame_size
+            ));
+        }
+        let mut scope: Scope = (0..)
+            .zip(&proc.params)
+            .map(|(i, (param, _))| (param.as_str(), Slot::Local(i)))
             .collect();
         validator.check_expr(&proc.body, &mut scope);
     }
@@ -414,10 +440,11 @@ pub fn validate(program: &CoreProgram) -> Vec<ConstraintViolation> {
 mod tests {
     use super::*;
     use cerberus_ast::ctype::{Ctype, IntegerType};
-    use cerberus_core::program::CoreProc;
+    use cerberus_ast::ident::Ident;
+    use cerberus_core::program::{CoreGlobal, CoreProc};
     use cerberus_core::syntax::{Expr, MemAction, PExpr, Pattern, Polarity};
 
-    fn program_with_main(body: Expr) -> CoreProgram {
+    fn program_with_main(body: Expr, frame_size: u32) -> CoreProgram {
         let mut program = CoreProgram::default();
         let name = Ident::new("main");
         program.procs.insert(
@@ -428,20 +455,36 @@ mod tests {
                 variadic: false,
                 return_ty: Ctype::integer(IntegerType::Int),
                 body,
+                frame_size,
             },
         );
         program.main = Some(name);
         program
     }
 
+    fn global(name: &str) -> CoreGlobal {
+        CoreGlobal {
+            name: Ident::new(name),
+            ty: Ctype::integer(IntegerType::Int),
+            init: Expr::Skip,
+            frame_size: 0,
+        }
+    }
+
+    /// `x = 1; return use`, with `x` bound in `binder_slot` of a frame of
+    /// `frame_size`.
+    fn bind_then_return(binder_slot: u32, use_: PExpr, frame_size: u32) -> CoreProgram {
+        let body = Expr::Sseq(
+            Pattern::local("x", binder_slot),
+            Box::new(Expr::Pure(PExpr::specified_int(1))),
+            Box::new(Expr::Return(Box::new(use_))),
+        );
+        program_with_main(body, frame_size)
+    }
+
     #[test]
     fn well_formed_program_passes() {
-        let body = Expr::Sseq(
-            Pattern::Sym(Ident::new("x")),
-            Box::new(Expr::Pure(PExpr::specified_int(1))),
-            Box::new(Expr::Return(Box::new(PExpr::sym("x")))),
-        );
-        assert!(validate(&program_with_main(body)).is_empty());
+        assert!(validate(&bind_then_return(0, PExpr::local("x", 0), 1)).is_empty());
     }
 
     #[test]
@@ -449,7 +492,7 @@ mod tests {
         // Three independent problems: an unbound symbol, an unresolvable
         // call, and a store whose type operand is not a Ctype literal.
         let body = Expr::seq_all(vec![
-            Expr::Pure(PExpr::sym("nowhere")),
+            Expr::Pure(PExpr::local("nowhere", 0)),
             Expr::Ccall(Box::new(PExpr::FunctionPtr(Ident::new("missing"))), vec![]),
             Expr::Action(
                 Polarity::Positive,
@@ -463,7 +506,7 @@ mod tests {
                 },
             ),
         ]);
-        let violations = validate(&program_with_main(body));
+        let violations = validate(&program_with_main(body, 1));
         assert_eq!(violations.len(), 3, "{violations:?}");
         let text: Vec<String> = violations.iter().map(|v| v.message().to_owned()).collect();
         assert!(text.iter().any(|m| m.contains("unbound Core symbol")));
@@ -474,7 +517,7 @@ mod tests {
     #[test]
     fn run_to_a_missing_label_is_flagged() {
         let body = Expr::Run(Ident::new("ghost"));
-        let violations = validate(&program_with_main(body));
+        let violations = validate(&program_with_main(body, 0));
         assert_eq!(violations.len(), 1);
         assert!(violations[0].message().contains("run ghost"));
     }
@@ -483,26 +526,69 @@ mod tests {
     fn tuple_pattern_arity_mismatch_is_flagged() {
         let body = Expr::Let(
             Pattern::Tuple(vec![
-                Pattern::Sym(Ident::new("a")),
-                Pattern::Sym(Ident::new("b")),
-                Pattern::Sym(Ident::new("c")),
+                Pattern::local("a", 0),
+                Pattern::local("b", 1),
+                Pattern::local("c", 2),
             ]),
             PExpr::Tuple(vec![PExpr::Integer(1), PExpr::Integer(2)]),
             Box::new(Expr::Pure(PExpr::Unit)),
         );
-        let violations = validate(&program_with_main(body));
+        let violations = validate(&program_with_main(body, 3));
         assert_eq!(violations.len(), 1);
         assert!(violations[0].message().contains("arity"));
     }
 
     #[test]
     fn globals_and_string_literals_are_in_scope() {
-        let mut program = program_with_main(Expr::Pure(PExpr::sym("g")));
-        program.globals.push(cerberus_core::program::CoreGlobal {
-            name: Ident::new("g"),
-            ty: Ctype::integer(IntegerType::Int),
-            init: Expr::Skip,
-        });
+        let body = Expr::seq(
+            Expr::Pure(PExpr::Sym(Sym::new("g", Slot::Static(0)))),
+            Expr::Pure(PExpr::Sym(Sym::new("strlit'0", Slot::Static(1)))),
+        );
+        let mut program = program_with_main(body, 0);
+        program.globals.push(global("g"));
+        program
+            .string_literals
+            .push((Ident::new("strlit'0"), b"a\0".to_vec()));
         assert!(validate(&program).is_empty());
+    }
+
+    #[test]
+    fn a_use_reading_another_slot_than_its_binder_is_flagged() {
+        let violations = validate(&bind_then_return(0, PExpr::local("x", 1), 2));
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(
+            violations[0]
+                .message()
+                .contains("use of `x` reads slot Local(1), but its binder is slot Local(0)"),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn a_binder_slot_outside_the_frame_is_flagged() {
+        let violations = validate(&bind_then_return(2, PExpr::local("x", 2), 2));
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(
+            violations[0]
+                .message()
+                .contains("binder `x` has slot Local(2) outside the frame of size 2"),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn a_static_slot_naming_another_object_is_flagged() {
+        // `h` is static slot 1; slot 0 is `g`.
+        let mut program =
+            program_with_main(Expr::Pure(PExpr::Sym(Sym::new("h", Slot::Static(0)))), 0);
+        program.globals.extend([global("g"), global("h")]);
+        let violations = validate(&program);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(
+            violations[0]
+                .message()
+                .contains("`h` reads static slot 0, which holds `g`"),
+            "{violations:?}"
+        );
     }
 }

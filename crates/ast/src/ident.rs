@@ -2,12 +2,12 @@
 //!
 //! Identifiers appear throughout the pipeline: C source identifiers in Cabs
 //! and Ail, and fresh symbols manufactured during elaboration into Core. The
-//! same representation serves both; fresh symbols carry a numeric suffix that
-//! cannot collide with any C identifier because it contains a `'` character,
-//! which is not part of the C identifier character set.
+//! same representation serves both; the elaborator numbers its fresh symbols
+//! per program with a suffix that cannot collide with any C identifier
+//! because it contains a `'` character, which is not part of the C
+//! identifier character set.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An identifier: either a C source identifier or a generated symbol.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -15,23 +15,10 @@ pub struct Ident {
     name: String,
 }
 
-static FRESH_COUNTER: AtomicU64 = AtomicU64::new(0);
-
 impl Ident {
     /// An identifier spelled exactly as in the source.
     pub fn new(name: impl Into<String>) -> Self {
         Ident { name: name.into() }
-    }
-
-    /// A fresh symbol that cannot clash with any source identifier.
-    ///
-    /// The `hint` is kept as a prefix so pretty-printed Core remains readable,
-    /// e.g. `e1'17` for the 17th fresh symbol derived from `e1`.
-    pub fn fresh(hint: &str) -> Self {
-        let n = FRESH_COUNTER.fetch_add(1, Ordering::Relaxed);
-        Ident {
-            name: format!("{hint}'{n}"),
-        }
     }
 
     /// The textual spelling.
@@ -39,7 +26,7 @@ impl Ident {
         &self.name
     }
 
-    /// Whether this identifier was produced by [`Ident::fresh`].
+    /// Whether this identifier is a generated symbol, spelled `hint'N`.
     pub fn is_generated(&self) -> bool {
         self.name.contains('\'')
     }
@@ -68,23 +55,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fresh_symbols_are_distinct() {
-        let a = Ident::fresh("x");
-        let b = Ident::fresh("x");
-        assert_ne!(a, b);
-        assert!(a.is_generated());
-        assert!(b.is_generated());
-    }
-
-    #[test]
     fn source_identifiers_are_not_generated() {
         assert!(!Ident::new("main").is_generated());
         assert_eq!(Ident::new("main").as_str(), "main");
-    }
-
-    #[test]
-    fn fresh_keeps_hint_prefix() {
-        let a = Ident::fresh("tmp");
-        assert!(a.as_str().starts_with("tmp'"));
+        assert!(Ident::new("e1'17").is_generated());
     }
 }

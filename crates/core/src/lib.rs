@@ -31,5 +31,6 @@ pub mod transform;
 pub use program::{CoreGlobal, CoreProc, CoreProgram};
 pub use syntax::{
     Binop, BuiltinFn, CoreBaseType, Expr, MemAction, MemOrder, PExpr, Pattern, Polarity, PtrOp,
+    Slot, Sym,
 };
 pub use transform::simplify_expr;

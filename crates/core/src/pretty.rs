@@ -354,11 +354,11 @@ mod tests {
     fn pure_expressions_render() {
         let pe = PExpr::Binop(
             Binop::Mul,
-            Box::new(PExpr::sym("sym_prm1")),
+            Box::new(PExpr::local("sym_prm1", 0)),
             Box::new(PExpr::Binop(
                 Binop::Exp,
                 Box::new(PExpr::Integer(2)),
-                Box::new(PExpr::sym("sym_prm2")),
+                Box::new(PExpr::local("sym_prm2", 1)),
             )),
         );
         assert_eq!(pexpr_to_string(&pe), "(sym_prm1 * (2 ^ sym_prm2))");
@@ -379,7 +379,7 @@ mod tests {
     #[test]
     fn sequencing_renders_like_the_paper() {
         let e = Expr::Wseq(
-            Pattern::Tuple(vec![Pattern::sym("e1"), Pattern::sym("e2")]),
+            Pattern::Tuple(vec![Pattern::local("e1", 0), Pattern::local("e2", 1)]),
             Box::new(Expr::Unseq(vec![Expr::Skip, Expr::Skip])),
             Box::new(Expr::Pure(PExpr::Unit)),
         );
@@ -394,7 +394,7 @@ mod tests {
             Polarity::Negative,
             MemAction::Store {
                 ty: Box::new(PExpr::CtypeConst(Ctype::integer(IntegerType::Int))),
-                ptr: Box::new(PExpr::sym("p")),
+                ptr: Box::new(PExpr::local("p", 0)),
                 value: Box::new(PExpr::Integer(7)),
                 order: MemOrder::NA,
             },

@@ -26,6 +26,9 @@ pub struct CoreProc {
     pub return_ty: Ctype,
     /// The elaborated body.
     pub body: Expr,
+    /// The number of local slots a call needs: one per parameter (parameter
+    /// `i` lives in slot `i`), then one per binder of the body.
+    pub frame_size: u32,
 }
 
 impl CoreProc {
@@ -48,6 +51,9 @@ pub struct CoreGlobal {
     /// initialiser are zero-initialised (6.7.9p10), expressed here by an
     /// expression storing the zero value.
     pub init: Expr,
+    /// The number of local slots the initialiser needs: it runs in a frame
+    /// of its own.
+    pub frame_size: u32,
 }
 
 /// A complete elaborated program.
@@ -76,6 +82,19 @@ impl CoreProgram {
     pub fn proc_count(&self) -> usize {
         self.procs.len()
     }
+
+    /// The name of the static object a [`crate::syntax::Slot::Static`] index
+    /// denotes: globals take the first indices, string literals the rest.
+    pub fn static_name(&self, index: u32) -> Option<&Ident> {
+        let index = index as usize;
+        match self.globals.get(index) {
+            Some(global) => Some(&global.name),
+            None => self
+                .string_literals
+                .get(index - self.globals.len())
+                .map(|(name, _)| name),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -95,11 +114,29 @@ mod tests {
                 variadic: false,
                 return_ty: Ctype::integer(IntegerType::Int),
                 body: Expr::Pure(PExpr::Integer(0)),
+                frame_size: 0,
             },
         );
         p.main = Some(Ident::new("main"));
         assert!(p.proc("main").is_some());
         assert!(p.proc("absent").is_none());
         assert_eq!(p.proc_count(), 1);
+    }
+
+    #[test]
+    fn static_indices_number_globals_then_string_literals() {
+        let p = CoreProgram {
+            globals: vec![CoreGlobal {
+                name: Ident::new("g"),
+                ty: Ctype::integer(IntegerType::Int),
+                init: Expr::Skip,
+                frame_size: 0,
+            }],
+            string_literals: vec![(Ident::new("strlit'0"), b"a\0".to_vec())],
+            ..CoreProgram::default()
+        };
+        assert_eq!(p.static_name(0).map(Ident::as_str), Some("g"));
+        assert_eq!(p.static_name(1).map(Ident::as_str), Some("strlit'0"));
+        assert_eq!(p.static_name(2), None);
     }
 }

@@ -159,13 +159,60 @@ pub enum BuiltinFn {
     IsScalar,
 }
 
+/// Where the value of a Core symbol lives at run time, fixed when the
+/// elaborator creates the symbol so the interpreter never looks a name up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Slot {
+    /// An index into the frame of the enclosing procedure call or global
+    /// initialiser: a procedure's parameters take the first indices, then
+    /// every binder of its body one each. Indices stay below the frame size
+    /// recorded on [`crate::program::CoreProc`] or
+    /// [`crate::program::CoreGlobal`].
+    Local(u32),
+    /// An index into the program's static objects: the globals in
+    /// declaration order, then the string literals in registration order
+    /// (see [`crate::program::CoreProgram::static_name`]).
+    Static(u32),
+}
+
+/// A Core symbol: the name it prints as, and the slot its value lives in.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Sym {
+    /// The symbol's name: a desugared C identifier (`x.3`), a fresh
+    /// elaboration temporary (`e1'17`), a global, or a string literal.
+    pub name: Ident,
+    /// The symbol's slot.
+    pub slot: Slot,
+}
+
+impl Sym {
+    /// A symbol named `name` living in `slot`.
+    pub fn new(name: impl Into<Ident>, slot: Slot) -> Self {
+        Sym {
+            name: name.into(),
+            slot,
+        }
+    }
+
+    /// The textual spelling of the name.
+    pub fn as_str(&self) -> &str {
+        self.name.as_str()
+    }
+}
+
+impl std::fmt::Display for Sym {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.name.fmt(f)
+    }
+}
+
 /// Patterns, used by Core `let` and `case`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Pattern {
     /// `_`.
     Wildcard,
-    /// An identifier binding.
-    Sym(Ident),
+    /// A symbol binding.
+    Sym(Sym),
     /// A tuple pattern.
     Tuple(Vec<Pattern>),
     /// `Specified(p)` — a loaded value that is not unspecified.
@@ -176,9 +223,9 @@ pub enum Pattern {
 }
 
 impl Pattern {
-    /// Shorthand for a single-identifier pattern.
-    pub fn sym(name: impl Into<String>) -> Self {
-        Pattern::Sym(Ident::new(name))
+    /// Shorthand for a pattern binding `name` in local slot `index`.
+    pub fn local(name: impl Into<String>, index: u32) -> Self {
+        Pattern::Sym(Sym::new(Ident::new(name), Slot::Local(index)))
     }
 }
 
@@ -211,8 +258,8 @@ pub enum MemAction {
 /// Pure (effect-free) Core expressions (`pe` in Fig. 2).
 #[derive(Debug, Clone, PartialEq)]
 pub enum PExpr {
-    /// A Core identifier.
-    Sym(Ident),
+    /// A Core symbol.
+    Sym(Sym),
     /// The unit value.
     Unit,
     /// A boolean literal.
@@ -272,9 +319,9 @@ pub enum PExpr {
 }
 
 impl PExpr {
-    /// Shorthand for an identifier use.
-    pub fn sym(name: impl Into<String>) -> Self {
-        PExpr::Sym(Ident::new(name))
+    /// Shorthand for a use of `name` in local slot `index`.
+    pub fn local(name: impl Into<String>, index: u32) -> Self {
+        PExpr::Sym(Sym::new(Ident::new(name), Slot::Local(index)))
     }
 
     /// Shorthand for a `Specified` integer literal.
@@ -400,7 +447,7 @@ mod tests {
         assert!(PExpr::Integer(3).is_value());
         assert!(PExpr::specified_int(3).is_value());
         assert!(PExpr::Unspecified(Ctype::integer(IntegerType::Int)).is_value());
-        assert!(!PExpr::sym("x").is_value());
+        assert!(!PExpr::local("x", 0).is_value());
         assert!(!PExpr::Binop(
             Binop::Add,
             Box::new(PExpr::Integer(1)),
@@ -429,7 +476,7 @@ mod tests {
             Polarity::Positive,
             MemAction::Store {
                 ty: Box::new(PExpr::CtypeConst(Ctype::integer(IntegerType::Int))),
-                ptr: Box::new(PExpr::sym("p")),
+                ptr: Box::new(PExpr::local("p", 0)),
                 value: Box::new(PExpr::Integer(1)),
                 order: MemOrder::NA,
             },
@@ -442,6 +489,9 @@ mod tests {
 
     #[test]
     fn pattern_shorthand() {
-        assert_eq!(Pattern::sym("x"), Pattern::Sym(Ident::new("x")));
+        assert_eq!(
+            Pattern::local("x", 2),
+            Pattern::Sym(Sym::new("x", Slot::Local(2)))
+        );
     }
 }

@@ -113,7 +113,7 @@ mod tests {
             Polarity::Positive,
             MemAction::Store {
                 ty: Box::new(PExpr::CtypeConst(Ctype::integer(IntegerType::Int))),
-                ptr: Box::new(PExpr::sym("p")),
+                ptr: Box::new(PExpr::local("p", 0)),
                 value: Box::new(PExpr::Integer(1)),
                 order: MemOrder::NA,
             },

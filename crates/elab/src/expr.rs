@@ -6,9 +6,8 @@
 
 use cerberus_ail::ail::{AilExpr, AilExprKind, BinOp, IdentKind, UnOp};
 use cerberus_ast::ctype::{Ctype, IntegerType};
-use cerberus_ast::ident::Ident;
 use cerberus_ast::ub::UbKind;
-use cerberus_core::syntax::{Binop, BuiltinFn, Expr, PExpr, Pattern, PtrOp};
+use cerberus_core::syntax::{Binop, BuiltinFn, Expr, PExpr, Pattern, PtrOp, Sym};
 
 use crate::stmt::Elaborator;
 
@@ -46,10 +45,10 @@ impl Elaborator {
     /// Convert a *loaded* value from one C type to another where the
     /// conversion is an integer conversion; other conversions are handled by
     /// the typed store or by dedicated cast elaboration.
-    pub(crate) fn convert_loaded(&self, to: &Ctype, from: &Ctype, pe: PExpr) -> PExpr {
+    pub(crate) fn convert_loaded(&mut self, to: &Ctype, from: &Ctype, pe: PExpr) -> PExpr {
         match (to.as_integer(), from.as_integer()) {
             (Some(to_it), Some(_)) if to != from => {
-                let x = Ident::fresh("cv");
+                let x = self.fresh("cv");
                 PExpr::Case(
                     Box::new(pe),
                     vec![
@@ -221,10 +220,10 @@ impl Elaborator {
         &mut self,
         lhs: &AilExpr,
         rhs: &AilExpr,
-        cont: impl FnOnce(Ident, Ident) -> Expr,
+        cont: impl FnOnce(Sym, Sym) -> Expr,
     ) -> Expr {
-        let s1 = Ident::fresh("e1");
-        let s2 = Ident::fresh("e2");
+        let s1 = self.fresh("e1");
+        let s2 = self.fresh("e2");
         let e1 = self.elab_rvalue(lhs);
         let e2 = self.elab_rvalue(rhs);
         let body = cont(s1.clone(), s2.clone());
@@ -241,8 +240,11 @@ impl Elaborator {
     /// value of the designated object.
     pub fn elab_lvalue(&mut self, e: &AilExpr) -> Expr {
         match &e.kind {
-            AilExprKind::Ident(name, IdentKind::Local | IdentKind::Global) => {
-                Expr::Pure(PExpr::Sym(name.clone()))
+            AilExprKind::Ident(name, IdentKind::Local) => {
+                Expr::Pure(PExpr::Sym(self.local_sym(name)))
+            }
+            AilExprKind::Ident(name, IdentKind::Global) => {
+                Expr::Pure(PExpr::Sym(self.global_sym(name)))
             }
             AilExprKind::Ident(name, IdentKind::Function) => {
                 Expr::Pure(PExpr::FunctionPtr(name.clone()))
@@ -252,8 +254,8 @@ impl Elaborator {
                 Expr::Pure(PExpr::Sym(name))
             }
             AilExprKind::Unary(UnOp::Deref, inner) => {
-                let s = Ident::fresh("ptr");
-                let p = Ident::fresh("p");
+                let s = self.fresh("ptr");
+                let p = self.fresh("p");
                 let rv = self.elab_rvalue(inner);
                 Expr::Sseq(
                     Pattern::Sym(s.clone()),
@@ -280,7 +282,7 @@ impl Elaborator {
                         return Expr::Pure(PExpr::Error("member access on a non-aggregate".into()))
                     }
                 };
-                let p = Ident::fresh("base");
+                let p = self.fresh("base");
                 let base_lv = self.elab_lvalue(base);
                 Expr::Sseq(
                     Pattern::Sym(p.clone()),
@@ -307,7 +309,7 @@ impl Elaborator {
         // Lvalue conversion (6.3.2.1p2-3): lvalue-evaluate and load, with
         // array-to-pointer decay yielding the object pointer itself.
         if e.is_lvalue {
-            let p = Ident::fresh("lv");
+            let p = self.fresh("lv");
             let lv = self.elab_lvalue(e);
             let rest = if matches!(e.ty, Ctype::Array(..)) {
                 Expr::Pure(PExpr::Specified(Box::new(PExpr::Sym(p.clone()))))
@@ -339,13 +341,13 @@ impl Elaborator {
                 let then_ty = t.ty.decay();
                 let else_ty = f.ty.decay();
                 let tb = {
-                    let v = Ident::fresh("tv");
+                    let v = self.fresh("tv");
                     let inner = self.elab_rvalue(t);
                     let conv = self.convert_loaded(&result_ty, &then_ty, PExpr::Sym(v.clone()));
                     Expr::Sseq(Pattern::Sym(v), Box::new(inner), Box::new(Expr::Pure(conv)))
                 };
                 let fb = {
-                    let v = Ident::fresh("fv");
+                    let v = self.fresh("fv");
                     let inner = self.elab_rvalue(f);
                     let conv = self.convert_loaded(&result_ty, &else_ty, PExpr::Sym(v.clone()));
                     Expr::Sseq(Pattern::Sym(v), Box::new(inner), Box::new(Expr::Pure(conv)))
@@ -370,7 +372,7 @@ impl Elaborator {
                         name.clone(),
                     ))));
                 }
-                let p = Ident::fresh("addr");
+                let p = self.fresh("addr");
                 let lv = self.elab_lvalue(inner);
                 Expr::Sseq(
                     Pattern::Sym(p.clone()),
@@ -382,7 +384,7 @@ impl Elaborator {
                 // A non-lvalue deref result only arises when the pointee is a
                 // function (calling through a pointer) — produce the function
                 // designator value.
-                let s = Ident::fresh("fp");
+                let s = self.fresh("fp");
                 let rv = self.elab_rvalue(inner);
                 Expr::Sseq(
                     Pattern::Sym(s.clone()),
@@ -392,8 +394,8 @@ impl Elaborator {
             }
             UnOp::Plus | UnOp::Minus | UnOp::BitNot | UnOp::LogicalNot => {
                 let result_ty = e.ty.clone();
-                let s = Ident::fresh("u");
-                let v = Ident::fresh("uv");
+                let s = self.fresh("u");
+                let v = self.fresh("uv");
                 let rv = self.elab_rvalue(inner);
                 let operand_it = inner.ty.decay().as_integer();
                 let pure = match (op, operand_it, result_ty.as_integer()) {
@@ -465,9 +467,9 @@ impl Elaborator {
         } else {
             -1
         };
-        let p = Ident::fresh("obj");
-        let old = Ident::fresh("old");
-        let ov = Ident::fresh("ov");
+        let p = self.fresh("obj");
+        let old = self.fresh("old");
+        let ov = self.fresh("ov");
         let lv = self.elab_lvalue(inner);
         let load = self.action_load(&ty, PExpr::Sym(p.clone()));
 
@@ -546,8 +548,8 @@ impl Elaborator {
         // is only evaluated if needed, with a sequence point in between.
         if op.is_logical() {
             let rhs_eval = {
-                let s = Ident::fresh("rhs");
-                let v = Ident::fresh("rv");
+                let s = self.fresh("rhs");
+                let v = self.fresh("rv");
                 let inner = self.elab_rvalue(rhs);
                 Expr::Sseq(
                     Pattern::Sym(s.clone()),
@@ -594,9 +596,9 @@ impl Elaborator {
                 (false, rt.pointee().cloned().unwrap_or(Ctype::Void))
             };
             let negate = op == BinOp::Sub;
+            let v1 = self.fresh("v1");
+            let v2 = self.fresh("v2");
             return self.bind_operands(lhs, rhs, |s1, s2| {
-                let v1 = Ident::fresh("v1");
-                let v2 = Ident::fresh("v2");
                 let (pv, iv) = if ptr_first {
                     (v1.clone(), v2.clone())
                 } else {
@@ -634,20 +636,22 @@ impl Elaborator {
         // Pointer subtraction (6.5.6p9).
         if op == BinOp::Sub && lt.is_pointer() && rt.is_pointer() {
             let pointee = lt.pointee().cloned().unwrap_or(Ctype::Void);
+            let p1 = self.binder("p1");
+            let p2 = self.binder("p2");
             return self.bind_operands(lhs, rhs, move |s1, s2| {
                 Expr::Case(
                     PExpr::Tuple(vec![PExpr::Sym(s1), PExpr::Sym(s2)]),
                     vec![
                         (
                             Pattern::Tuple(vec![
-                                Pattern::Specified(Box::new(Pattern::sym("p1"))),
-                                Pattern::Specified(Box::new(Pattern::sym("p2"))),
+                                Pattern::Specified(Box::new(Pattern::Sym(p1.clone()))),
+                                Pattern::Specified(Box::new(Pattern::Sym(p2.clone()))),
                             ]),
                             Expr::Memop(
                                 PtrOp::Diff,
                                 vec![
-                                    PExpr::sym("p1"),
-                                    PExpr::sym("p2"),
+                                    PExpr::Sym(p1),
+                                    PExpr::Sym(p2),
                                     PExpr::CtypeConst(pointee.clone()),
                                 ],
                             ),
@@ -672,16 +676,18 @@ impl Elaborator {
                 BinOp::Le => PtrOp::Le,
                 _ => PtrOp::Ge,
             };
+            let p1 = self.binder("p1");
+            let p2 = self.binder("p2");
             return self.bind_operands(lhs, rhs, move |s1, s2| {
                 Expr::Case(
                     PExpr::Tuple(vec![PExpr::Sym(s1), PExpr::Sym(s2)]),
                     vec![
                         (
                             Pattern::Tuple(vec![
-                                Pattern::Specified(Box::new(Pattern::sym("p1"))),
-                                Pattern::Specified(Box::new(Pattern::sym("p2"))),
+                                Pattern::Specified(Box::new(Pattern::Sym(p1.clone()))),
+                                Pattern::Specified(Box::new(Pattern::Sym(p2.clone()))),
                             ]),
-                            Expr::Memop(ptr_op, vec![PExpr::sym("p1"), PExpr::sym("p2")]),
+                            Expr::Memop(ptr_op, vec![PExpr::Sym(p1), PExpr::Sym(p2)]),
                         ),
                         (
                             Pattern::Wildcard,
@@ -694,14 +700,14 @@ impl Elaborator {
 
         // Plain integer arithmetic: evaluate the operands unsequenced, then
         // compute the pure Fig. 3-style case split over the loaded values.
-        let s1 = Ident::fresh("e1");
-        let s2 = Ident::fresh("e2");
+        let s1 = self.fresh("e1");
+        let s2 = self.fresh("e2");
         let e1 = self.elab_rvalue(lhs);
         let e2 = self.elab_rvalue(rhs);
         let pure_arith = match (lt2.as_integer(), rt2.as_integer()) {
             (Some(li), Some(ri)) => {
-                let v1 = Ident::fresh("v1");
-                let v2 = Ident::fresh("v2");
+                let v1 = self.fresh("v1");
+                let v2 = self.fresh("v2");
                 let arith = self.specified_int_arith(
                     op,
                     li,
@@ -738,8 +744,8 @@ impl Elaborator {
     fn elab_assign(&mut self, lhs: &AilExpr, rhs: &AilExpr) -> Expr {
         let lty = lhs.ty.clone();
         let rty = rhs.ty.decay();
-        let p = Ident::fresh("lhs");
-        let v = Ident::fresh("rhs");
+        let p = self.fresh("lhs");
+        let v = self.fresh("rhs");
         let lv = self.elab_lvalue(lhs);
         let rv = self.elab_rvalue(rhs);
         let converted = self.convert_loaded(&lty, &rty, PExpr::Sym(v.clone()));
@@ -758,9 +764,9 @@ impl Elaborator {
     fn elab_compound_assign(&mut self, op: BinOp, lhs: &AilExpr, rhs: &AilExpr) -> Expr {
         let lty = lhs.ty.clone();
         let rty = rhs.ty.decay();
-        let p = Ident::fresh("lhs");
-        let old = Ident::fresh("old");
-        let rvs = Ident::fresh("rhs");
+        let p = self.fresh("lhs");
+        let old = self.fresh("old");
+        let rvs = self.fresh("rhs");
         let lv = self.elab_lvalue(lhs);
         let rv = self.elab_rvalue(rhs);
         let load = self.action_load(&lty, PExpr::Sym(p.clone()));
@@ -770,8 +776,8 @@ impl Elaborator {
         // lvalue's type.
         let combined: PExpr = match (&lty, lty.as_integer(), rty.as_integer()) {
             (Ctype::Pointer(_, pointee), _, _) => {
-                let ov = Ident::fresh("ov");
-                let iv = Ident::fresh("iv");
+                let ov = self.fresh("ov");
+                let iv = self.fresh("iv");
                 let delta = if op == BinOp::Sub {
                     Self::binop(Binop::Sub, PExpr::Integer(0), PExpr::Sym(iv.clone()))
                 } else {
@@ -802,8 +808,8 @@ impl Elaborator {
                 )
             }
             (_, Some(li), Some(ri)) => {
-                let ov = Ident::fresh("ov");
-                let iv = Ident::fresh("iv");
+                let ov = self.fresh("ov");
+                let iv = self.fresh("iv");
                 let arith = self.specified_int_arith(
                     op,
                     li,
@@ -812,7 +818,7 @@ impl Elaborator {
                     PExpr::Sym(iv.clone()),
                 );
                 let back = {
-                    let res = Ident::fresh("res");
+                    let res = self.fresh("res");
                     PExpr::Case(
                         Box::new(arith),
                         vec![
@@ -844,7 +850,7 @@ impl Elaborator {
             _ => PExpr::Error("unsupported compound assignment".into()),
         };
 
-        let result = Ident::fresh("newv");
+        let result = self.fresh("newv");
         let store = self.action_store(&lty, PExpr::Sym(p.clone()), PExpr::Sym(result.clone()));
         Expr::Wseq(
             Pattern::Tuple(vec![Pattern::Sym(p.clone()), Pattern::Sym(rvs)]),
@@ -867,8 +873,8 @@ impl Elaborator {
 
     fn elab_cast(&mut self, target: &Ctype, inner: &AilExpr) -> Expr {
         let from = inner.ty.decay();
-        let s = Ident::fresh("castee");
-        let v = Ident::fresh("cv");
+        let s = self.fresh("castee");
+        let v = self.fresh("cv");
         let rv = self.elab_rvalue(inner);
 
         let body: Expr = match (target, &from) {
@@ -926,9 +932,9 @@ impl Elaborator {
     }
 
     fn elab_call(&mut self, callee: &AilExpr, args: &[AilExpr]) -> Expr {
-        let f = Ident::fresh("fn");
-        let arg_syms: Vec<Ident> = (0..args.len())
-            .map(|i| Ident::fresh(&format!("arg{i}")))
+        let f = self.fresh("fn");
+        let arg_syms: Vec<Sym> = (0..args.len())
+            .map(|i| self.fresh(&format!("arg{i}")))
             .collect();
         let mut evals = Vec::with_capacity(args.len() + 1);
         evals.push(self.elab_rvalue(callee));

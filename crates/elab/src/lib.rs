@@ -35,23 +35,24 @@ use crate::stmt::Elaborator;
 
 /// Elaborate a whole desugared program into Core.
 pub fn elaborate_program(program: &AilProgram, env: &ImplEnv) -> CoreProgram {
-    let mut elab = Elaborator::new(env.clone(), program.tags.clone());
+    let mut elab = Elaborator::new(env.clone(), program.tags.clone(), &program.globals);
     let mut core = CoreProgram {
         tags: program.tags.clone(),
         ..CoreProgram::default()
     };
 
     for global in &program.globals {
-        let init = elab.elaborate_global_init(global);
+        let (init, frame_size) = elab.elaborate_global_init(global);
         core.globals.push(CoreGlobal {
             name: global.name.clone(),
             ty: global.ty.clone(),
             init,
+            frame_size,
         });
     }
 
     for f in &program.functions {
-        let body = elab.elaborate_function_body(f);
+        let (body, frame_size) = elab.elaborate_function_body(f);
         core.procs.insert(
             f.name.as_str().to_owned(),
             CoreProc {
@@ -60,6 +61,7 @@ pub fn elaborate_program(program: &AilProgram, env: &ImplEnv) -> CoreProgram {
                 variadic: f.variadic,
                 return_ty: f.return_ty.clone(),
                 body,
+                frame_size,
             },
         );
     }
@@ -151,6 +153,30 @@ mod tests {
         let core = elaborate("int main(void) { int x = 0; x++; return x; }");
         let body = expr_to_string(&core.proc("main").unwrap().body);
         assert!(body.contains("neg(store("), "{body}");
+    }
+
+    /// Every procedure and global initialiser, printed.
+    fn printed(core: &CoreProgram) -> String {
+        let mut names: Vec<&String> = core.procs.keys().collect();
+        names.sort();
+        let procs = names
+            .into_iter()
+            .map(|name| expr_to_string(&core.procs[name].body));
+        let globals = core.globals.iter().map(|g| expr_to_string(&g.init));
+        procs.chain(globals).collect::<Vec<_>>().join("\n")
+    }
+
+    #[test]
+    fn elaborating_a_source_twice_gives_the_same_core() {
+        let src = "int g = 1; int main(void) { int x = 0; int y = x++ + x; return y + g; }";
+        let first = printed(&elaborate(src));
+        assert_eq!(printed(&elaborate(src)), first);
+        let threads: Vec<_> = (0..2)
+            .map(|_| std::thread::spawn(move || printed(&elaborate(src))))
+            .collect();
+        for thread in threads {
+            assert_eq!(thread.join().expect("elaboration panicked"), first);
+        }
     }
 
     #[test]

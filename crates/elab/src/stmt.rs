@@ -1,17 +1,20 @@
 //! Statement elaboration: blocks and object lifetimes (§5.7), loops, `goto`
 //! and `switch` via Core labels (§5.8), and global initialisation.
 
+use std::collections::HashMap;
+
 use cerberus_ail::ail::{AilInit, AilStmt, FunctionDef, GlobalDef, ObjectDecl};
 use cerberus_ast::ctype::Ctype;
 use cerberus_ast::env::ImplEnv;
 use cerberus_ast::ident::Ident;
 use cerberus_ast::layout::TagRegistry;
 use cerberus_ast::ub::UbKind;
-use cerberus_core::syntax::{Expr, MemAction, MemOrder, PExpr, Pattern, Polarity};
+use cerberus_core::syntax::{Expr, MemAction, MemOrder, PExpr, Pattern, Polarity, Slot, Sym};
 
 /// The elaboration context: the implementation-defined environment, the tag
 /// registry (for member offsets and layout queries during elaboration), the
-/// string-literal table, and the label stacks for `break`/`continue`.
+/// string-literal table, the label stacks for `break`/`continue`, and the
+/// symbol numbering: fresh names per program, slots per frame.
 #[derive(Debug)]
 pub struct Elaborator {
     pub(crate) env: ImplEnv,
@@ -21,11 +24,24 @@ pub struct Elaborator {
     continue_stack: Vec<Ident>,
     switch_stack: Vec<u64>,
     switch_counter: u64,
+    /// The number the next fresh name `hint'N` gets; counted per program,
+    /// so the same source always elaborates to the same Core.
+    fresh_counter: u64,
+    /// The static slot of each global, by name.
+    globals: HashMap<String, u32>,
+    /// The number of globals: string literals take the static slots after
+    /// them.
+    global_count: u32,
+    /// The local slot of each parameter and C variable of the frame being
+    /// elaborated, by its desugared name.
+    locals: HashMap<Ident, u32>,
+    /// The number of local slots the frame being elaborated has used.
+    frame_size: u32,
 }
 
 impl Elaborator {
-    /// A fresh elaborator.
-    pub fn new(env: ImplEnv, tags: TagRegistry) -> Self {
+    /// A fresh elaborator for a program with `globals`.
+    pub fn new(env: ImplEnv, tags: TagRegistry, globals: &[GlobalDef]) -> Self {
         Elaborator {
             env,
             tags,
@@ -34,6 +50,14 @@ impl Elaborator {
             continue_stack: Vec::new(),
             switch_stack: Vec::new(),
             switch_counter: 0,
+            fresh_counter: 0,
+            globals: (0..)
+                .zip(globals)
+                .map(|(i, g)| (g.name.as_str().to_owned(), i))
+                .collect(),
+            global_count: globals.len() as u32,
+            locals: HashMap::new(),
+            frame_size: 0,
         }
     }
 
@@ -43,10 +67,72 @@ impl Elaborator {
     }
 
     /// Register a string literal and return the symbol its object is bound to.
-    pub(crate) fn register_string_literal(&mut self, bytes: &[u8]) -> Ident {
-        let name = Ident::fresh("strlit");
+    pub(crate) fn register_string_literal(&mut self, bytes: &[u8]) -> Sym {
+        let name = self.fresh_name("strlit");
+        let slot = Slot::Static(self.global_count + self.string_literals.len() as u32);
         self.string_literals.push((name.clone(), bytes.to_vec()));
-        name
+        Sym::new(name, slot)
+    }
+
+    // ----- symbols and slots -------------------------------------------------
+
+    /// A name `hint'N` no other name of the program has: the `'` keeps it
+    /// apart from every C identifier.
+    fn fresh_name(&mut self, hint: &str) -> Ident {
+        let n = self.fresh_counter;
+        self.fresh_counter += 1;
+        Ident::new(format!("{hint}'{n}"))
+    }
+
+    /// A fresh symbol in the next local slot of the current frame.
+    pub(crate) fn fresh(&mut self, hint: &str) -> Sym {
+        let name = self.fresh_name(hint);
+        self.binder(name)
+    }
+
+    /// A symbol named `name` in the next local slot of the current frame.
+    pub(crate) fn binder(&mut self, name: impl Into<Ident>) -> Sym {
+        Sym::new(name, Slot::Local(self.next_index()))
+    }
+
+    fn next_index(&mut self) -> u32 {
+        self.frame_size += 1;
+        self.frame_size - 1
+    }
+
+    /// The symbol of a parameter or block-scope C variable of the current
+    /// frame; its slot is numbered when the variable is first mentioned.
+    pub(crate) fn local_sym(&mut self, name: &Ident) -> Sym {
+        let index = match self.locals.get(name) {
+            Some(&index) => index,
+            None => {
+                let index = self.next_index();
+                self.locals.insert(name.clone(), index);
+                index
+            }
+        };
+        Sym::new(name.clone(), Slot::Local(index))
+    }
+
+    /// The symbol of an object with static storage duration.
+    pub(crate) fn global_sym(&mut self, name: &Ident) -> Sym {
+        match self.globals.get(name.as_str()) {
+            Some(&index) => Sym::new(name.clone(), Slot::Static(index)),
+            // The desugarer declares every global it refers to; were one
+            // missing, the use stays an unbound local, as the interpreter and
+            // the validator report.
+            None => self.local_sym(name),
+        }
+    }
+
+    /// Start numbering the local slots of a new frame: parameter `i` takes
+    /// slot `i`.
+    fn begin_frame(&mut self, params: &[(Ident, Ctype)]) {
+        self.locals.clear();
+        self.frame_size = 0;
+        for (name, _) in params {
+            self.local_sym(name);
+        }
     }
 
     // ----- memory action helpers ---------------------------------------------
@@ -110,7 +196,7 @@ impl Elaborator {
     pub(crate) fn elab_init_into(&mut self, ptr: PExpr, ty: &Ctype, init: &AilInit) -> Expr {
         match init {
             AilInit::Expr(e) => {
-                let v = Ident::fresh("init");
+                let v = self.fresh("init");
                 let rv = self.elab_rvalue(e);
                 let converted = self.convert_loaded(ty, &e.ty.decay(), PExpr::Sym(v.clone()));
                 Expr::Sseq(
@@ -175,11 +261,17 @@ impl Elaborator {
     /// duration: evaluated before `main`, storing into the global's object
     /// (objects without initialiser are zero-initialised by the memory
     /// engine, so `skip` suffices).
-    pub fn elaborate_global_init(&mut self, global: &GlobalDef) -> Expr {
-        match &global.init {
+    /// Returns the expression and the size of the frame it runs in.
+    pub fn elaborate_global_init(&mut self, global: &GlobalDef) -> (Expr, u32) {
+        self.begin_frame(&[]);
+        let init = match &global.init {
             None => Expr::Skip,
-            Some(init) => self.elab_init_into(PExpr::Sym(global.name.clone()), &global.ty, init),
-        }
+            Some(init) => {
+                let object = self.global_sym(&global.name);
+                self.elab_init_into(PExpr::Sym(object), &global.ty, init)
+            }
+        };
+        (init, self.frame_size)
     }
 
     // ----- statements ----------------------------------------------------------
@@ -187,17 +279,28 @@ impl Elaborator {
     fn bind_decls(&mut self, decls: &[ObjectDecl], inner: Expr) -> Expr {
         let mut result = inner;
         for decl in decls.iter().rev() {
+            let object = self.local_sym(&decl.name);
             let init = match &decl.init {
-                Some(init) => self.elab_init_into(PExpr::Sym(decl.name.clone()), &decl.ty, init),
+                Some(init) => self.elab_init_into(PExpr::Sym(object.clone()), &decl.ty, init),
                 None => Expr::Skip,
             };
             result = Expr::Sseq(
-                Pattern::Sym(decl.name.clone()),
+                Pattern::Sym(object),
                 Box::new(self.action_create(&decl.ty)),
                 Box::new(Expr::seq(init, result)),
             );
         }
         result
+    }
+
+    fn kill_decls(&mut self, decls: &[ObjectDecl]) -> Vec<Expr> {
+        decls
+            .iter()
+            .map(|d| {
+                let object = self.local_sym(&d.name);
+                self.action_kill(PExpr::Sym(object))
+            })
+            .collect()
     }
 
     fn elab_stmt_list(&mut self, stmts: &[AilStmt]) -> Expr {
@@ -206,9 +309,7 @@ impl Elaborator {
         let mut kills = Vec::new();
         for s in stmts {
             if let AilStmt::Decl(decls) = s {
-                for d in decls {
-                    kills.push(self.action_kill(PExpr::Sym(d.name.clone())));
-                }
+                kills.extend(self.kill_decls(decls));
             }
         }
         let mut result = Expr::seq_all(kills);
@@ -297,8 +398,8 @@ impl Elaborator {
         then: Expr,
         els: Expr,
     ) -> Expr {
-        let c = Ident::fresh("cond");
-        let v = Ident::fresh("v");
+        let c = self.fresh("cond");
+        let v = self.fresh("v");
         let rv = self.elab_rvalue(cond);
         let test = self.scalar_is_nonzero(&cond.ty.decay(), PExpr::Sym(v.clone()));
         Expr::Sseq(
@@ -340,9 +441,9 @@ impl Elaborator {
                 self.elab_condition(c, then, els)
             }
             AilStmt::While(c, body) => {
-                let brk = Ident::fresh("while_break");
-                let cont = Ident::fresh("while_continue");
-                let head = Ident::fresh("while_head");
+                let brk = self.fresh_name("while_break");
+                let cont = self.fresh_name("while_continue");
+                let head = self.fresh_name("while_head");
                 self.break_stack.push(brk.clone());
                 self.continue_stack.push(cont.clone());
                 let body = self.elab_stmt(body);
@@ -353,9 +454,9 @@ impl Elaborator {
                 Expr::Exit(brk, Box::new(Expr::Save(head, Box::new(guarded))))
             }
             AilStmt::DoWhile(body, c) => {
-                let brk = Ident::fresh("do_break");
-                let cont = Ident::fresh("do_continue");
-                let head = Ident::fresh("do_head");
+                let brk = self.fresh_name("do_break");
+                let cont = self.fresh_name("do_continue");
+                let head = self.fresh_name("do_head");
                 self.break_stack.push(brk.clone());
                 self.continue_stack.push(cont.clone());
                 let body = self.elab_stmt(body);
@@ -366,9 +467,9 @@ impl Elaborator {
                 Expr::Exit(brk, Box::new(Expr::Save(head, Box::new(once))))
             }
             AilStmt::For(init, cond, step, body) => {
-                let brk = Ident::fresh("for_break");
-                let cont = Ident::fresh("for_continue");
-                let head = Ident::fresh("for_head");
+                let brk = self.fresh_name("for_break");
+                let cont = self.fresh_name("for_continue");
+                let head = self.fresh_name("for_head");
                 self.break_stack.push(brk.clone());
                 self.continue_stack.push(cont.clone());
                 let body = self.elab_stmt(body);
@@ -393,10 +494,7 @@ impl Elaborator {
                 // there are killed after the loop terminates.
                 match &**init {
                     AilStmt::Decl(decls) => {
-                        let kills: Vec<Expr> = decls
-                            .iter()
-                            .map(|d| self.action_kill(PExpr::Sym(d.name.clone())))
-                            .collect();
+                        let kills = self.kill_decls(decls);
                         let with_kills = Expr::seq(looped, Expr::seq_all(kills));
                         self.bind_decls(decls, with_kills)
                     }
@@ -407,7 +505,7 @@ impl Elaborator {
             AilStmt::Switch(scrutinee, body) => {
                 self.switch_counter += 1;
                 let switch_id = self.switch_counter;
-                let brk = Ident::fresh("switch_break");
+                let brk = self.fresh_name("switch_break");
                 self.break_stack.push(brk.clone());
                 self.switch_stack.push(switch_id);
                 let body_core = self.elab_stmt(body);
@@ -418,7 +516,7 @@ impl Elaborator {
                 let mut has_default = false;
                 Self::collect_cases(body, &mut case_values, &mut has_default);
 
-                let v = Ident::fresh("switch_val");
+                let v = self.fresh("switch_val");
                 let mut dispatch = if has_default {
                     Expr::Run(self.switch_default_label(switch_id))
                 } else {
@@ -436,7 +534,7 @@ impl Elaborator {
                     );
                 }
 
-                let c = Ident::fresh("switch_cond");
+                let c = self.fresh("switch_cond");
                 let rv = self.elab_rvalue(scrutinee);
                 let dispatch_and_body = Expr::seq(dispatch, body_core);
                 let cased = Expr::Case(
@@ -481,7 +579,7 @@ impl Elaborator {
                 Expr::Return(Box::new(PExpr::Specified(Box::new(PExpr::Unit))))
             }
             AilStmt::Return(Some(e)) => {
-                let v = Ident::fresh("ret");
+                let v = self.fresh("ret");
                 let rv = self.elab_rvalue(e);
                 Expr::Sseq(
                     Pattern::Sym(v.clone()),
@@ -499,8 +597,9 @@ impl Elaborator {
 
     /// Elaborate a function body: the statement body followed by the implicit
     /// return (0 for `main`, 6.9.1p12's unspecified value otherwise, unit for
-    /// `void`).
-    pub fn elaborate_function_body(&mut self, f: &FunctionDef) -> Expr {
+    /// `void`). Returns the body and the size of the frame a call needs.
+    pub fn elaborate_function_body(&mut self, f: &FunctionDef) -> (Expr, u32) {
+        self.begin_frame(&f.params);
         let body = self.elab_stmt(&f.body);
         let fallthrough = if f.name.as_str() == "main" {
             Expr::Return(Box::new(PExpr::specified_int(0)))
@@ -509,6 +608,47 @@ impl Elaborator {
         } else {
             Expr::Return(Box::new(PExpr::Unspecified(f.return_ty.clone())))
         };
-        Expr::seq(body, fallthrough)
+        (Expr::seq(body, fallthrough), self.frame_size)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn elaborator() -> Elaborator {
+        Elaborator::new(ImplEnv::lp64(), TagRegistry::new(), &[])
+    }
+
+    #[test]
+    fn fresh_symbols_are_distinct() {
+        let mut elab = elaborator();
+        let a = elab.fresh("x");
+        let b = elab.fresh("x");
+        assert_ne!(a.name, b.name);
+        assert_ne!(a.slot, b.slot);
+        assert!(a.name.is_generated());
+        assert!(b.name.is_generated());
+    }
+
+    #[test]
+    fn fresh_keeps_hint_prefix() {
+        let a = elaborator().fresh("tmp");
+        assert_eq!(a.as_str(), "tmp'0");
+        assert_eq!(a.slot, Slot::Local(0));
+    }
+
+    #[test]
+    fn a_frame_numbers_its_parameters_first() {
+        let mut elab = elaborator();
+        elab.fresh("stale");
+        let int = Ctype::integer(cerberus_ast::ctype::IntegerType::Int);
+        let (a, b) = (Ident::new("a.1"), Ident::new("b.2"));
+        elab.begin_frame(&[(a.clone(), int.clone()), (b.clone(), int)]);
+        assert_eq!(elab.local_sym(&b).slot, Slot::Local(1));
+        assert_eq!(elab.fresh("e").slot, Slot::Local(2));
+        assert_eq!(elab.local_sym(&Ident::new("c.3")).slot, Slot::Local(3));
+        assert_eq!(elab.local_sym(&a).slot, Slot::Local(0));
+        assert_eq!(elab.frame_size, 4);
     }
 }

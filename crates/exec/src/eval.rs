@@ -2,14 +2,13 @@
 //! expressions, parameterised by the memory object model and a choice oracle.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use cerberus_ast::ctype::{Ctype, IntegerType};
 use cerberus_ast::ident::Ident;
 use cerberus_ast::ub::UbKind;
 use cerberus_core::program::{CoreProc, CoreProgram};
-use cerberus_core::syntax::{Binop, BuiltinFn, Expr, MemAction, PExpr, Pattern, PtrOp};
+use cerberus_core::syntax::{Binop, BuiltinFn, Expr, MemAction, PExpr, Pattern, PtrOp, Slot, Sym};
 use cerberus_memory::limits::{ResourceKind, ResourceLimits, TimeoutKind};
 use cerberus_memory::model::MemoryModel;
 use cerberus_memory::state::{AllocKind, MemError, MemErrorKind};
@@ -68,8 +67,14 @@ pub enum Flow<'a> {
 }
 
 type EResult<'a> = Result<Flow<'a>, Stop>;
-/// Symbol bindings, keyed by names borrowed from the program.
-type Env<'a> = HashMap<&'a str, Value>;
+/// The local slots of one procedure call or global initialiser, indexed by
+/// [`Slot::Local`]; a slot is `None` until a pattern binds it.
+pub type Frame = [Option<Value>];
+
+/// A frame of `size` unbound slots.
+fn new_frame(size: u32) -> Vec<Option<Value>> {
+    vec![None; size as usize]
+}
 
 #[derive(Debug, Clone, Copy)]
 struct Access {
@@ -85,6 +90,10 @@ struct Access {
 fn access_conflict(x: &Access, y: &Access) -> bool {
     (x.write || y.write) && x.addr < y.addr + y.len && y.addr < x.addr + x.len
 }
+
+/// The bounds `[start, end)` of the log entries one `unseq` operand
+/// recorded.
+type Range = (usize, usize);
 
 fn conflicts(a: &[Access], b: &[Access]) -> bool {
     a.iter().any(|x| b.iter().any(|y| access_conflict(x, y)))
@@ -102,7 +111,9 @@ pub struct Interp<'a, M: MemoryModel> {
     program: &'a CoreProgram,
     /// The memory object model state.
     pub mem: M,
-    globals: Env<'a>,
+    /// The static objects' pointers, indexed by [`Slot::Static`]: globals,
+    /// then string literals.
+    statics: Vec<Value>,
     /// Bytes written by `printf` during this execution.
     pub stdout: Vec<u8>,
     oracle: &'a mut dyn ChoiceOracle,
@@ -112,7 +123,18 @@ pub struct Interp<'a, M: MemoryModel> {
     /// at construction, checked periodically by [`Interp::tick`].
     deadline: Option<std::time::Instant>,
     call_depth: usize,
-    footprints: Vec<Vec<Access>>,
+    /// The accesses made while at least one footprint collector (a `wseq`
+    /// or `unseq` being evaluated) is open; each collector owns the entries
+    /// from the log length at which it opened.
+    access_log: Vec<Access>,
+    /// How many footprint collectors are open.
+    open_collectors: usize,
+    /// The operand indices every `unseq` being evaluated has yet to run, in
+    /// ascending order, one segment per `unseq` stacked above its callers'.
+    unseq_remaining: Vec<usize>,
+    /// The log range each operand of every `unseq` being evaluated
+    /// recorded, one segment per `unseq` indexed by operand.
+    unseq_ranges: Vec<Range>,
 }
 
 impl<'a, M: MemoryModel> Interp<'a, M> {
@@ -130,14 +152,17 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
         Interp {
             program,
             mem,
-            globals: HashMap::new(),
+            statics: Vec::new(),
             stdout: Vec::new(),
             oracle,
             steps: 0,
             limits,
             deadline,
             call_depth: 0,
-            footprints: Vec::new(),
+            access_log: Vec::new(),
+            open_collectors: 0,
+            unseq_remaining: Vec::new(),
+            unseq_ranges: Vec::new(),
         }
     }
 
@@ -146,24 +171,26 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
     /// declaration order.
     pub fn setup(&mut self) -> Result<(), Stop> {
         let program = self.program;
-        for (name, bytes) in &program.string_literals {
+        let mut literals = Vec::with_capacity(program.string_literals.len());
+        for (_, bytes) in &program.string_literals {
             let ptr = self.mem.create_string_literal(bytes).map_err(Stop::from)?;
-            self.globals.insert(name.as_str(), Value::Pointer(ptr));
+            literals.push(Value::Pointer(ptr));
         }
         for proc_name in program.procs.keys() {
             self.mem.register_function(&Ident::new(proc_name.clone()));
         }
+        self.statics = Vec::with_capacity(program.globals.len() + literals.len());
         for global in &program.globals {
             let ptr = self
                 .mem
                 .create(&global.ty, AllocKind::Static, Some(global.name.as_str()))
                 .map_err(Stop::from)?;
-            self.globals
-                .insert(global.name.as_str(), Value::Pointer(ptr));
+            self.statics.push(Value::Pointer(ptr));
         }
+        self.statics.append(&mut literals);
         for global in &program.globals {
-            let mut env = Env::new();
-            match self.eval_expr(&mut env, &global.init)? {
+            let mut frame = new_frame(global.frame_size);
+            match self.eval_expr(&mut frame, &global.init)? {
                 Flow::Value(_) => {}
                 Flow::Jump(l) => {
                     return Err(Stop::Error(format!("jump to {l} in a global initialiser")))
@@ -199,9 +226,9 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             return Err(Stop::Resource(ResourceKind::CallDepth));
         }
         self.call_depth += 1;
-        let mut env = Env::new();
+        let mut frame = new_frame(proc.frame_size);
         let mut param_ptrs = Vec::new();
-        for ((sym, ty), arg) in proc.params.iter().zip(args) {
+        for (i, ((sym, ty), arg)) in proc.params.iter().zip(args).enumerate() {
             let ptr = self
                 .mem
                 .create(ty, AllocKind::Automatic, Some(sym.as_str()))
@@ -209,10 +236,13 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             self.mem
                 .store(ty, &ptr, &arg.to_mem(ty))
                 .map_err(Stop::from)?;
-            env.insert(sym.as_str(), Value::Pointer(ptr.clone()));
+            // Parameter `i` lives in slot `i`.
+            if let Some(slot) = frame.get_mut(i) {
+                *slot = Some(Value::Pointer(ptr.clone()));
+            }
             param_ptrs.push(ptr);
         }
-        let flow = self.eval_expr(&mut env, &proc.body);
+        let flow = self.eval_expr(&mut frame, &proc.body);
         for ptr in &param_ptrs {
             let _ = self.mem.kill(ptr, false);
         }
@@ -241,8 +271,8 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
     }
 
     fn record_access(&mut self, addr: u64, len: u64, write: bool, negative: bool) {
-        for collector in &mut self.footprints {
-            collector.push(Access {
+        if self.open_collectors > 0 {
+            self.access_log.push(Access {
                 addr,
                 len,
                 write,
@@ -251,11 +281,30 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
         }
     }
 
-    fn lookup(&self, env: &Env<'a>, name: &Ident) -> Result<Value, Stop> {
-        env.get(name.as_str())
-            .or_else(|| self.globals.get(name.as_str()))
+    /// Open a footprint collector; it owns the log entries from the
+    /// returned index on.
+    fn open_collector(&mut self) -> usize {
+        self.open_collectors += 1;
+        self.access_log.len()
+    }
+
+    /// Close the collector opened at log index `start`. Only the outermost
+    /// collector's entries are dropped: an enclosing one still owns them.
+    fn close_collector(&mut self, start: usize) {
+        self.open_collectors -= 1;
+        if self.open_collectors == 0 {
+            self.access_log.truncate(start);
+        }
+    }
+
+    fn lookup(&self, frame: &Frame, sym: &Sym) -> Result<Value, Stop> {
+        let value = match sym.slot {
+            Slot::Local(i) => frame.get(i as usize).and_then(Option::as_ref),
+            Slot::Static(i) => self.statics.get(i as usize),
+        };
+        value
             .cloned()
-            .ok_or_else(|| Stop::Error(format!("unbound Core symbol {name}")))
+            .ok_or_else(|| Stop::Error(format!("unbound Core symbol {sym}")))
     }
 
     // ----- pattern matching ---------------------------------------------------
@@ -278,35 +327,41 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
     }
 
     /// Bind the symbols of `pat` to the parts of `value`, which
-    /// [`Self::pattern_matches`] has accepted.
-    fn bind_matched(env: &mut Env<'a>, pat: &'a Pattern, value: Value) {
+    /// [`Self::pattern_matches`] has accepted. Only local slots are bound:
+    /// the elaborator never binds a static one, and a slot outside the
+    /// frame (which the validator rejects) stays unbound.
+    fn bind_matched(frame: &mut Frame, pat: &Pattern, value: Value) {
         match (pat, value) {
-            (Pattern::Sym(name), v) => {
-                env.insert(name.as_str(), v);
+            (Pattern::Sym(sym), v) => {
+                if let Slot::Local(i) = sym.slot {
+                    if let Some(slot) = frame.get_mut(i as usize) {
+                        *slot = Some(v);
+                    }
+                }
             }
             (Pattern::Tuple(ps), Value::Tuple(vs)) if ps.len() == vs.len() => {
                 for (p, v) in ps.iter().zip(vs) {
-                    Self::bind_matched(env, p, v);
+                    Self::bind_matched(frame, p, v);
                 }
             }
-            (Pattern::Tuple(ps), v) if ps.len() == 1 => Self::bind_matched(env, &ps[0], v),
+            (Pattern::Tuple(ps), v) if ps.len() == 1 => Self::bind_matched(frame, &ps[0], v),
             (Pattern::Specified(p), Value::Specified(inner)) => {
-                Self::bind_matched(env, p, Rc::unwrap_or_clone(inner))
+                Self::bind_matched(frame, p, Rc::unwrap_or_clone(inner))
             }
             (Pattern::Unspecified(p), Value::Unspecified(ty)) => {
-                Self::bind_matched(env, p, Value::Ctype(ty))
+                Self::bind_matched(frame, p, Value::Ctype(ty))
             }
             _ => {}
         }
     }
 
-    fn bind(env: &mut Env<'a>, pat: &'a Pattern, value: Value) -> Result<(), Stop> {
+    fn bind(frame: &mut Frame, pat: &Pattern, value: Value) -> Result<(), Stop> {
         if !Self::pattern_matches(pat, &value) {
             return Err(Stop::Error(format!(
                 "pattern match failure binding {value}"
             )));
         }
-        Self::bind_matched(env, pat, value);
+        Self::bind_matched(frame, pat, value);
         Ok(())
     }
 
@@ -491,9 +546,9 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
     }
 
     /// Evaluate a pure expression.
-    pub fn eval_pexpr(&mut self, env: &mut Env<'a>, pe: &'a PExpr) -> Result<Value, Stop> {
+    pub fn eval_pexpr(&mut self, frame: &mut Frame, pe: &'a PExpr) -> Result<Value, Stop> {
         match pe {
-            PExpr::Sym(name) => self.lookup(env, name),
+            PExpr::Sym(sym) => self.lookup(frame, sym),
             PExpr::Unit => Ok(Value::Unit),
             PExpr::Boolean(b) => Ok(Value::Bool(*b)),
             PExpr::Integer(v) => Ok(Value::Integer(IntegerValue::pure(*v))),
@@ -505,19 +560,19 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 detail: "explicit undef reached".into(),
             }),
             PExpr::Error(msg) => Err(Stop::Error(msg.clone())),
-            PExpr::Specified(inner) => Ok(Value::specified(self.eval_pexpr(env, inner)?)),
+            PExpr::Specified(inner) => Ok(Value::specified(self.eval_pexpr(frame, inner)?)),
             PExpr::Unspecified(ty) => Ok(Value::Unspecified(ty.clone())),
             PExpr::Tuple(items) => {
                 let mut out = Vec::with_capacity(items.len());
                 for item in items {
-                    out.push(self.eval_pexpr(env, item)?);
+                    out.push(self.eval_pexpr(frame, item)?);
                 }
                 Ok(Value::Tuple(out))
             }
             PExpr::ArrayVal(items) => {
                 let mut out = Vec::with_capacity(items.len());
                 for item in items {
-                    let v = self.eval_pexpr(env, item)?;
+                    let v = self.eval_pexpr(frame, item)?;
                     out.push(v.to_mem(&Ctype::integer(IntegerType::LongLong)));
                 }
                 Ok(Value::Object(cerberus_memory::value::MemValue::Array(out)))
@@ -525,7 +580,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             PExpr::StructVal(tag, members) => {
                 let mut out = Vec::with_capacity(members.len());
                 for (name, value) in members {
-                    let v = self.eval_pexpr(env, value)?;
+                    let v = self.eval_pexpr(frame, value)?;
                     out.push((
                         name.clone(),
                         v.to_mem(&Ctype::integer(IntegerType::LongLong)),
@@ -536,44 +591,44 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 )))
             }
             PExpr::UnionVal(tag, member, value) => {
-                let v = self.eval_pexpr(env, value)?;
+                let v = self.eval_pexpr(frame, value)?;
                 Ok(Value::Object(cerberus_memory::value::MemValue::Union(
                     *tag,
                     member.clone(),
                     Box::new(v.to_mem(&Ctype::integer(IntegerType::LongLong))),
                 )))
             }
-            PExpr::Not(inner) => match self.eval_pexpr(env, inner)? {
+            PExpr::Not(inner) => match self.eval_pexpr(frame, inner)? {
                 Value::Bool(b) => Ok(Value::Bool(!b)),
                 other => Err(Stop::Error(format!("not applied to {other}"))),
             },
             PExpr::Binop(op, a, b) => {
-                let va = self.eval_pexpr(env, a)?;
-                let vb = self.eval_pexpr(env, b)?;
+                let va = self.eval_pexpr(frame, a)?;
+                let vb = self.eval_pexpr(frame, b)?;
                 self.eval_binop(*op, va, vb)
             }
             PExpr::If(c, t, f) => {
-                let cond = self.eval_pexpr(env, c)?;
+                let cond = self.eval_pexpr(frame, c)?;
                 match cond.truthiness() {
-                    Some(true) => self.eval_pexpr(env, t),
-                    Some(false) => self.eval_pexpr(env, f),
+                    Some(true) => self.eval_pexpr(frame, t),
+                    Some(false) => self.eval_pexpr(frame, f),
                     None => Err(Stop::Error("non-scalar condition in pure if".into())),
                 }
             }
             PExpr::Case(scrutinee, arms) => {
-                let v = self.eval_pexpr(env, scrutinee)?;
+                let v = self.eval_pexpr(frame, scrutinee)?;
                 for (pat, body) in arms {
                     if Self::pattern_matches(pat, &v) {
-                        Self::bind_matched(env, pat, v);
-                        return self.eval_pexpr(env, body);
+                        Self::bind_matched(frame, pat, v);
+                        return self.eval_pexpr(frame, body);
                     }
                 }
                 Err(Stop::Error(format!("no case arm matches {v}")))
             }
             PExpr::Let(pat, value, body) => {
-                let v = self.eval_pexpr(env, value)?;
-                Self::bind(env, pat, v)?;
-                self.eval_pexpr(env, body)
+                let v = self.eval_pexpr(frame, value)?;
+                Self::bind(frame, pat, v)?;
+                self.eval_pexpr(frame, body)
             }
             PExpr::Builtin(f, args) => {
                 // Every builtin reads at most its first two arguments, so they
@@ -581,7 +636,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 // evaluated (it may stop the execution) and dropped.
                 let mut vs = [Value::Unit, Value::Unit];
                 for (i, a) in args.iter().enumerate() {
-                    let v = self.eval_pexpr(env, a)?;
+                    let v = self.eval_pexpr(frame, a)?;
                     if let Some(slot) = vs.get_mut(i) {
                         *slot = v;
                     }
@@ -594,18 +649,18 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 index,
             } => {
                 let p = self
-                    .eval_pexpr(env, ptr)?
+                    .eval_pexpr(frame, ptr)?
                     .as_pointer()
                     .ok_or_else(|| Stop::Error("array_shift on a non-pointer".into()))?;
                 let i = self
-                    .eval_pexpr(env, index)?
+                    .eval_pexpr(frame, index)?
                     .as_int()
                     .ok_or_else(|| Stop::Error("array_shift with a non-integer index".into()))?;
                 Ok(Value::Pointer(self.mem.array_shift(&p, elem_ty, i)?))
             }
             PExpr::MemberShift { ptr, tag, member } => {
                 let p = self
-                    .eval_pexpr(env, ptr)?
+                    .eval_pexpr(frame, ptr)?
                     .as_pointer()
                     .ok_or_else(|| Stop::Error("member_shift on a non-pointer".into()))?;
                 Ok(Value::Pointer(self.mem.member_shift(&p, *tag, member)?))
@@ -628,10 +683,10 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
         Err(Stop::Error(format!("expected a pointer operand, got {v}")))
     }
 
-    fn eval_memop(&mut self, env: &mut Env<'a>, op: PtrOp, args: &'a [PExpr]) -> EResult<'a> {
+    fn eval_memop(&mut self, frame: &mut Frame, op: PtrOp, args: &'a [PExpr]) -> EResult<'a> {
         let mut values = Vec::with_capacity(args.len());
         for a in args {
-            values.push(self.eval_pexpr(env, a)?);
+            values.push(self.eval_pexpr(frame, a)?);
         }
         let specified_int = |v: i128| Flow::Value(Value::specified_int(v));
         match op {
@@ -700,14 +755,14 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
     /// program when the operand is a constant, as the elaborator emits it.
     fn ctype_operand(
         &mut self,
-        env: &mut Env<'a>,
+        frame: &mut Frame,
         operand: &'a PExpr,
         what: &str,
     ) -> Result<Cow<'a, Ctype>, Stop> {
         if let PExpr::CtypeConst(ty) = operand {
             return Ok(Cow::Borrowed(ty));
         }
-        match self.eval_pexpr(env, operand)? {
+        match self.eval_pexpr(frame, operand)? {
             Value::Ctype(ty) => Ok(Cow::Owned(ty)),
             other => Err(Stop::Error(format!("{what} a non-type {other}"))),
         }
@@ -715,24 +770,24 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
 
     fn eval_action(
         &mut self,
-        env: &mut Env<'a>,
+        frame: &mut Frame,
         action: &'a MemAction,
         negative: bool,
     ) -> EResult<'a> {
         match action {
             MemAction::Create { ty, .. } => {
-                let ty = self.ctype_operand(env, ty, "create of")?;
+                let ty = self.ctype_operand(frame, ty, "create of")?;
                 let ptr = self.mem.create(&ty, AllocKind::Automatic, None)?;
                 Ok(Flow::Value(Value::Pointer(ptr)))
             }
             MemAction::Alloc { align, size } => {
-                let align = self.eval_pexpr(env, align)?.as_int().unwrap_or(16) as u64;
-                let size = self.eval_pexpr(env, size)?.as_int().unwrap_or(0) as u64;
+                let align = self.eval_pexpr(frame, align)?.as_int().unwrap_or(16) as u64;
+                let size = self.eval_pexpr(frame, size)?.as_int().unwrap_or(0) as u64;
                 let ptr = self.mem.alloc(size, align).map_err(Stop::from)?;
                 Ok(Flow::Value(Value::Pointer(ptr)))
             }
             MemAction::Kill(ptr) => {
-                let p = self.eval_pexpr(env, ptr)?;
+                let p = self.eval_pexpr(frame, ptr)?;
                 if let Some(p) = p.as_pointer() {
                     // End-of-block kills are lenient: an object whose lifetime
                     // already ended (e.g. after a jump) is left alone.
@@ -741,18 +796,18 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 Ok(Flow::Value(Value::Unit))
             }
             MemAction::Store { ty, ptr, value, .. } => {
-                let ty = self.ctype_operand(env, ty, "store at")?;
-                let p = self.eval_pexpr(env, ptr)?;
+                let ty = self.ctype_operand(frame, ty, "store at")?;
+                let p = self.eval_pexpr(frame, ptr)?;
                 let p = self.pointer_operand(&p)?;
-                let v = self.eval_pexpr(env, value)?;
+                let v = self.eval_pexpr(frame, value)?;
                 let len = self.mem.size_of(&ty)?;
                 self.mem.store(&ty, &p, &v.to_mem(&ty))?;
                 self.record_access(p.addr, len, true, negative);
                 Ok(Flow::Value(Value::Unit))
             }
             MemAction::Load { ty, ptr, .. } => {
-                let ty = self.ctype_operand(env, ty, "load at")?;
-                let p = self.eval_pexpr(env, ptr)?;
+                let ty = self.ctype_operand(frame, ty, "load at")?;
+                let p = self.eval_pexpr(frame, ptr)?;
                 let p = self.pointer_operand(&p)?;
                 let len = self.mem.size_of(&ty)?;
                 let mv = self.mem.load(&ty, &p)?;
@@ -786,17 +841,17 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
     /// Evaluate `e` in "seeking" mode: skip everything until the `save` for
     /// `label` is reached, evaluate its body, then continue normally with the
     /// remainder of `e`. This realises forward `goto`s and `switch` dispatch.
-    fn eval_seeking(&mut self, env: &mut Env<'a>, e: &'a Expr, label: &Ident) -> EResult<'a> {
+    fn eval_seeking(&mut self, frame: &mut Frame, e: &'a Expr, label: &Ident) -> EResult<'a> {
         self.tick()?;
         match e {
             Expr::Save(l, body) => {
                 if l == label {
-                    self.eval_save(env, l, body)
+                    self.eval_save(frame, l, body)
                 } else if Self::contains_save(body, label) {
                     // Seek inside, then keep this save active for later jumps.
-                    let flow = self.eval_seeking(env, body, label)?;
+                    let flow = self.eval_seeking(frame, body, label)?;
                     match flow {
-                        Flow::Jump(j) if j == l => self.eval_save(env, l, body),
+                        Flow::Jump(j) if j == l => self.eval_save(frame, l, body),
                         other => Ok(other),
                     }
                 } else {
@@ -806,7 +861,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 }
             }
             Expr::Exit(l, body) => {
-                let flow = self.eval_seeking(env, body, label)?;
+                let flow = self.eval_seeking(frame, body, label)?;
                 match flow {
                     Flow::Jump(j) if j == l => Ok(Flow::Value(Value::Unit)),
                     other => Ok(other),
@@ -814,15 +869,15 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             }
             Expr::Sseq(pat, a, b) | Expr::Wseq(pat, a, b) => {
                 if Self::contains_save(a, label) {
-                    let flow = self.eval_seeking(env, a, label)?;
+                    let flow = self.eval_seeking(frame, a, label)?;
                     match flow {
                         Flow::Value(v) => {
-                            Self::bind(env, pat, v)?;
-                            self.eval_expr(env, b)
+                            Self::bind(frame, pat, v)?;
+                            self.eval_expr(frame, b)
                         }
                         Flow::Jump(l) => {
                             if Self::contains_save(b, l) {
-                                self.eval_seeking(env, b, l)
+                                self.eval_seeking(frame, b, l)
                             } else {
                                 Ok(Flow::Jump(l))
                             }
@@ -830,23 +885,23 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                         other => Ok(other),
                     }
                 } else {
-                    self.eval_seeking(env, b, label)
+                    self.eval_seeking(frame, b, label)
                 }
             }
             Expr::Let(_, _, body) | Expr::Indet(body) | Expr::Bound(body) => {
-                self.eval_seeking(env, body, label)
+                self.eval_seeking(frame, body, label)
             }
             Expr::If(_, t, f) => {
                 if Self::contains_save(t, label) {
-                    self.eval_seeking(env, t, label)
+                    self.eval_seeking(frame, t, label)
                 } else {
-                    self.eval_seeking(env, f, label)
+                    self.eval_seeking(frame, f, label)
                 }
             }
             Expr::Case(_, arms) => {
                 for (_, body) in arms {
                     if Self::contains_save(body, label) {
-                        return self.eval_seeking(env, body, label);
+                        return self.eval_seeking(frame, body, label);
                     }
                 }
                 Err(Stop::Error(format!("label {label} not found in case arms")))
@@ -854,7 +909,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             Expr::Unseq(items) | Expr::Nd(items) | Expr::Par(items) => {
                 for item in items {
                     if Self::contains_save(item, label) {
-                        return self.eval_seeking(env, item, label);
+                        return self.eval_seeking(frame, item, label);
                     }
                 }
                 Err(Stop::Error(format!(
@@ -867,10 +922,10 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
         }
     }
 
-    fn eval_save(&mut self, env: &mut Env<'a>, label: &Ident, body: &'a Expr) -> EResult<'a> {
+    fn eval_save(&mut self, frame: &mut Frame, label: &Ident, body: &'a Expr) -> EResult<'a> {
         loop {
             self.tick()?;
-            match self.eval_expr(env, body)? {
+            match self.eval_expr(frame, body)? {
                 Flow::Jump(l) if l == label => continue,
                 other => return Ok(other),
             }
@@ -880,42 +935,42 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
     // ----- effectful expressions ------------------------------------------------------
 
     /// Evaluate an effectful Core expression.
-    pub fn eval_expr(&mut self, env: &mut Env<'a>, e: &'a Expr) -> EResult<'a> {
+    pub fn eval_expr(&mut self, frame: &mut Frame, e: &'a Expr) -> EResult<'a> {
         self.tick()?;
         match e {
-            Expr::Pure(pe) => Ok(Flow::Value(self.eval_pexpr(env, pe)?)),
-            Expr::Memop(op, args) => self.eval_memop(env, *op, args),
+            Expr::Pure(pe) => Ok(Flow::Value(self.eval_pexpr(frame, pe)?)),
+            Expr::Memop(op, args) => self.eval_memop(frame, *op, args),
             Expr::Action(polarity, action) => self.eval_action(
-                env,
+                frame,
                 action,
                 *polarity == cerberus_core::syntax::Polarity::Negative,
             ),
             Expr::Case(scrutinee, arms) => {
-                let v = self.eval_pexpr(env, scrutinee)?;
+                let v = self.eval_pexpr(frame, scrutinee)?;
                 for (pat, body) in arms {
                     if Self::pattern_matches(pat, &v) {
-                        Self::bind_matched(env, pat, v);
-                        return self.eval_expr(env, body);
+                        Self::bind_matched(frame, pat, v);
+                        return self.eval_expr(frame, body);
                     }
                 }
                 Err(Stop::Error(format!("no case arm matches {v}")))
             }
             Expr::Let(pat, value, body) => {
-                let v = self.eval_pexpr(env, value)?;
-                Self::bind(env, pat, v)?;
-                self.eval_expr(env, body)
+                let v = self.eval_pexpr(frame, value)?;
+                Self::bind(frame, pat, v)?;
+                self.eval_expr(frame, body)
             }
             Expr::If(c, t, f) => {
-                let cond = self.eval_pexpr(env, c)?;
+                let cond = self.eval_pexpr(frame, c)?;
                 match cond.truthiness() {
-                    Some(true) => self.eval_expr(env, t),
-                    Some(false) => self.eval_expr(env, f),
+                    Some(true) => self.eval_expr(frame, t),
+                    Some(false) => self.eval_expr(frame, f),
                     None => Err(Stop::Error("non-scalar condition in if".into())),
                 }
             }
             Expr::Skip => Ok(Flow::Value(Value::Unit)),
             Expr::Ccall(f, args) => {
-                let fv = self.eval_pexpr(env, f)?;
+                let fv = self.eval_pexpr(frame, f)?;
                 let name = match fv.as_pointer() {
                     Some(p) => match p.function {
                         Some(name) => name,
@@ -933,7 +988,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 };
                 let mut arg_values = Vec::with_capacity(args.len());
                 for a in args {
-                    arg_values.push(self.eval_pexpr(env, a)?);
+                    arg_values.push(self.eval_pexpr(frame, a)?);
                 }
                 if let Some(result) = builtins::call_builtin(self, name.as_str(), &arg_values) {
                     return Ok(Flow::Value(result?));
@@ -954,64 +1009,62 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 }
                 Ok(Flow::Value(self.call_proc(proc, arg_values)?))
             }
-            Expr::Unseq(items) => self.eval_unseq(env, items),
+            Expr::Unseq(items) => self.eval_unseq(frame, items),
             Expr::Wseq(pat, a, b) => {
                 // Weak sequencing orders only the *positive* actions of the
                 // first expression before the second, so a negative action of
                 // the first (e.g. a postfix increment's store) that conflicts
                 // with an access of the second is an unsequenced race (6.5p2).
-                self.footprints.push(Vec::new());
-                let first_flow = self.eval_expr(env, a);
-                let fp_first = self.footprints.pop().unwrap_or_default();
-                match first_flow? {
-                    Flow::Value(v) => {
-                        Self::bind(env, pat, v)?;
-                        self.footprints.push(Vec::new());
-                        let second_flow = self.eval_expr(env, b);
-                        let fp_second = self.footprints.pop().unwrap_or_default();
-                        let flow = second_flow?;
-                        if negative_conflicts(&fp_first, &fp_second) {
-                            return Err(Stop::Undef {
-                                ub: UbKind::UnsequencedRace,
-                                detail:
-                                    "a side-effect store is unsequenced with a conflicting access"
-                                        .into(),
-                            });
-                        }
-                        match flow {
-                            Flow::Jump(l) if Self::contains_save(a, l) => {
-                                self.eval_seeking(env, a, l)
+                // One collector spans both parts: the first part's accesses
+                // are the log entries `start..mid`, the second's `mid..`.
+                let start = self.open_collector();
+                let v = match self.eval_expr(frame, a) {
+                    Ok(Flow::Value(v)) => v,
+                    first => {
+                        self.close_collector(start);
+                        return match first? {
+                            Flow::Jump(l) if Self::contains_save(b, l) => {
+                                self.eval_seeking(frame, b, l)
                             }
                             other => Ok(other),
-                        }
+                        };
                     }
-                    Flow::Jump(l) => {
-                        if Self::contains_save(b, l) {
-                            self.eval_seeking(env, b, l)
-                        } else {
-                            Ok(Flow::Jump(l))
-                        }
-                    }
-                    Flow::Return(v) => Ok(Flow::Return(v)),
+                };
+                let mid = self.access_log.len();
+                let second = Self::bind(frame, pat, v).and_then(|()| self.eval_expr(frame, b));
+                let race = second.is_ok()
+                    && negative_conflicts(&self.access_log[start..mid], &self.access_log[mid..]);
+                self.close_collector(start);
+                let flow = second?;
+                if race {
+                    return Err(Stop::Undef {
+                        ub: UbKind::UnsequencedRace,
+                        detail: "a side-effect store is unsequenced with a conflicting access"
+                            .into(),
+                    });
+                }
+                match flow {
+                    Flow::Jump(l) if Self::contains_save(a, l) => self.eval_seeking(frame, a, l),
+                    other => Ok(other),
                 }
             }
             Expr::Sseq(pat, a, b) => {
-                match self.eval_expr(env, a)? {
+                match self.eval_expr(frame, a)? {
                     Flow::Value(v) => {
-                        Self::bind(env, pat, v)?;
-                        match self.eval_expr(env, b)? {
+                        Self::bind(frame, pat, v)?;
+                        match self.eval_expr(frame, b)? {
                             Flow::Jump(l) if Self::contains_save(a, l) => {
                                 // A backward jump to a label in the already
                                 // evaluated part of the sequence: re-enter it
                                 // seeking the label.
-                                self.eval_seeking(env, a, l)
+                                self.eval_seeking(frame, a, l)
                             }
                             other => Ok(other),
                         }
                     }
                     Flow::Jump(l) => {
                         if Self::contains_save(b, l) {
-                            self.eval_seeking(env, b, l)
+                            self.eval_seeking(frame, b, l)
                         } else {
                             Ok(Flow::Jump(l))
                         }
@@ -1023,13 +1076,15 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 // The body (a called function's execution) is indeterminately
                 // sequenced with respect to the surrounding expression, not
                 // unsequenced: its accesses do not form unsequenced races with
-                // the siblings, so they are hidden from the active collectors.
-                let saved = std::mem::take(&mut self.footprints);
-                let result = self.eval_expr(env, body);
-                self.footprints = saved;
+                // the siblings, so every open collector is closed for the body.
+                let open = std::mem::take(&mut self.open_collectors);
+                let start = self.access_log.len();
+                let result = self.eval_expr(frame, body);
+                self.access_log.truncate(start);
+                self.open_collectors = open;
                 result
             }
-            Expr::Bound(body) => self.eval_expr(env, body),
+            Expr::Bound(body) => self.eval_expr(frame, body),
             Expr::Nd(items) => {
                 if items.is_empty() {
                     return Ok(Flow::Value(Value::Unit));
@@ -1039,16 +1094,16 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 } else {
                     self.oracle.choose(items.len())
                 };
-                self.eval_expr(env, &items[idx])
+                self.eval_expr(frame, &items[idx])
             }
-            Expr::Save(label, body) => self.eval_save(env, label, body),
-            Expr::Exit(label, body) => match self.eval_expr(env, body)? {
+            Expr::Save(label, body) => self.eval_save(frame, label, body),
+            Expr::Exit(label, body) => match self.eval_expr(frame, body)? {
                 Flow::Jump(l) if l == label => Ok(Flow::Value(Value::Unit)),
                 other => Ok(other),
             },
             Expr::Run(label) => Ok(Flow::Jump(label)),
             Expr::Return(value) => {
-                let v = self.eval_pexpr(env, value)?;
+                let v = self.eval_pexpr(frame, value)?;
                 Ok(Flow::Return(v))
             }
             Expr::Par(items) => {
@@ -1064,7 +1119,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                         self.oracle.choose(order.len())
                     };
                     let idx = order.remove(k);
-                    match self.eval_expr(env, &items[idx])? {
+                    match self.eval_expr(frame, &items[idx])? {
                         Flow::Value(v) => results[idx] = v,
                         other => return Ok(other),
                     }
@@ -1074,40 +1129,68 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
         }
     }
 
-    fn eval_unseq(&mut self, env: &mut Env<'a>, items: &'a [Expr]) -> EResult<'a> {
+    /// Evaluate the operands of an `unseq` in the order the oracle picks,
+    /// then check them pairwise for conflicting accesses. Only the result
+    /// tuple is allocated: the operands still to run and the log range each
+    /// recorded live in segments of the interpreter's scratch stacks.
+    fn eval_unseq(&mut self, frame: &mut Frame, items: &'a [Expr]) -> EResult<'a> {
         let n = items.len();
         if n == 0 {
             return Ok(Flow::Value(Value::Tuple(Vec::new())));
         }
-        let mut remaining: Vec<usize> = (0..n).collect();
-        let mut results: Vec<Value> = vec![Value::Unit; n];
-        let mut footprints: Vec<Vec<Access>> = vec![Vec::new(); n];
-        while !remaining.is_empty() {
-            let k = if remaining.len() == 1 {
+        let start = self.open_collector();
+        let remaining = self.unseq_remaining.len();
+        self.unseq_remaining.extend(0..n);
+        let ranges = self.unseq_ranges.len();
+        self.unseq_ranges.resize(ranges + n, (start, start));
+        let flow = self.eval_unseq_operands(frame, items, remaining, ranges);
+        // Unsequenced race detection (6.5p2): conflicting accesses between
+        // unsequenced siblings are undefined behaviour on every schedule.
+        let race = matches!(flow, Ok(Flow::Value(_))) && {
+            let log = &self.access_log;
+            let operands = &self.unseq_ranges[ranges..];
+            operands.iter().enumerate().any(|(i, &(s1, e1))| {
+                operands[i + 1..]
+                    .iter()
+                    .any(|&(s2, e2)| conflicts(&log[s1..e1], &log[s2..e2]))
+            })
+        };
+        self.unseq_remaining.truncate(remaining);
+        self.unseq_ranges.truncate(ranges);
+        self.close_collector(start);
+        if race {
+            return Err(Stop::Undef {
+                ub: UbKind::UnsequencedRace,
+                detail: "conflicting unsequenced accesses to the same object".into(),
+            });
+        }
+        flow
+    }
+
+    /// Run every operand of an `unseq` whose bookkeeping starts at
+    /// `remaining` and `ranges` on the scratch stacks. Choice `k` runs the
+    /// `k`-th operand, in ascending order, of those still to run.
+    fn eval_unseq_operands(
+        &mut self,
+        frame: &mut Frame,
+        items: &'a [Expr],
+        remaining: usize,
+        ranges: usize,
+    ) -> EResult<'a> {
+        let mut results = vec![Value::Unit; items.len()];
+        for left in (1..=items.len()).rev() {
+            let k = if left == 1 {
                 0
             } else {
-                self.oracle.choose(remaining.len())
+                self.oracle.choose(left)
             };
-            let idx = remaining.remove(k);
-            self.footprints.push(Vec::new());
-            let flow = self.eval_expr(env, &items[idx]);
-            let fp = self.footprints.pop().unwrap_or_default();
-            footprints[idx] = fp;
+            let idx = self.unseq_remaining.remove(remaining + k);
+            let begin = self.access_log.len();
+            let flow = self.eval_expr(frame, &items[idx]);
+            self.unseq_ranges[ranges + idx] = (begin, self.access_log.len());
             match flow? {
                 Flow::Value(v) => results[idx] = v,
                 other => return Ok(other),
-            }
-        }
-        // Unsequenced race detection (6.5p2): conflicting accesses between
-        // unsequenced siblings are undefined behaviour on every schedule.
-        for i in 0..n {
-            for j in i + 1..n {
-                if conflicts(&footprints[i], &footprints[j]) {
-                    return Err(Stop::Undef {
-                        ub: UbKind::UnsequencedRace,
-                        detail: "conflicting unsequenced accesses to the same object".into(),
-                    });
-                }
             }
         }
         Ok(Flow::Value(Value::Tuple(results)))
@@ -1117,9 +1200,10 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::RandomOracle;
+    use crate::driver::{RandomOracle, ReplayOracle};
     use cerberus_ast::env::ImplEnv;
     use cerberus_ast::layout::TagRegistry;
+    use cerberus_core::syntax::{MemOrder, Polarity};
     use cerberus_memory::config::ModelConfig;
     use cerberus_memory::model::ConcreteEngine;
 
@@ -1135,20 +1219,101 @@ mod tests {
         Pattern::Specified(Box::new(p))
     }
 
-    fn bind(pat: &Pattern, value: Value) -> Result<Env<'_>, Stop> {
-        let mut env = Env::new();
-        Interp::<ConcreteEngine>::bind(&mut env, pat, value)?;
-        Ok(env)
+    fn bind(pat: &Pattern, value: Value, size: u32) -> Result<Vec<Option<Value>>, Stop> {
+        let mut frame = new_frame(size);
+        Interp::<ConcreteEngine>::bind(&mut frame, pat, value)?;
+        Ok(frame)
+    }
+
+    /// Whether the interpreter holds no footprint state: every collector
+    /// closed, the log and the `unseq` scratch stacks empty.
+    fn footprint_state_is_clear(interp: &Interp<'_, ConcreteEngine>) -> bool {
+        interp.open_collectors == 0
+            && interp.access_log.is_empty()
+            && interp.unseq_remaining.is_empty()
+            && interp.unseq_ranges.is_empty()
+    }
+
+    // ----- hand-built Core over one `int` object `p` in local slot 0 -----------
+
+    fn p() -> PExpr {
+        PExpr::local("p", 0)
+    }
+
+    fn store(polarity: Polarity, value: i128) -> Expr {
+        Expr::Action(
+            polarity,
+            MemAction::Store {
+                ty: Box::new(PExpr::CtypeConst(int_ty())),
+                ptr: Box::new(p()),
+                value: Box::new(PExpr::specified_int(value)),
+                order: MemOrder::NA,
+            },
+        )
+    }
+
+    fn load() -> Expr {
+        Expr::Action(
+            Polarity::Positive,
+            MemAction::Load {
+                ty: Box::new(PExpr::CtypeConst(int_ty())),
+                ptr: Box::new(p()),
+                order: MemOrder::NA,
+            },
+        )
+    }
+
+    fn create() -> Expr {
+        Expr::Action(
+            Polarity::Positive,
+            MemAction::Create {
+                align: Box::new(PExpr::Integer(4)),
+                ty: Box::new(PExpr::CtypeConst(int_ty())),
+            },
+        )
+    }
+
+    /// `body` run after binding `p` to a fresh, initialised `int` object.
+    fn with_object(body: Expr) -> Expr {
+        Expr::Sseq(
+            Pattern::local("p", 0),
+            Box::new(create()),
+            Box::new(Expr::seq(store(Polarity::Positive, 0), body)),
+        )
+    }
+
+    /// Run `e` in a one-slot frame, choosing by `oracle`; return the result
+    /// and whether the footprint state was clear afterwards.
+    fn run(e: &Expr, oracle: &mut dyn ChoiceOracle) -> (Result<Flow<'static>, Stop>, bool) {
+        let program = CoreProgram::default();
+        let mut interp = Interp::new(&program, concrete(), oracle, ResourceLimits::default());
+        let mut frame = new_frame(1);
+        let result = interp.eval_expr(&mut frame, e).map(|flow| match flow {
+            Flow::Value(v) => Flow::Value(v),
+            Flow::Return(v) => Flow::Return(v),
+            Flow::Jump(_) => panic!("unexpected jump"),
+        });
+        (result, footprint_state_is_clear(&interp))
+    }
+
+    fn is_race(result: &Result<Flow<'_>, Stop>) -> bool {
+        matches!(
+            result,
+            Err(Stop::Undef {
+                ub: UbKind::UnsequencedRace,
+                ..
+            })
+        )
     }
 
     #[test]
     fn nested_patterns_bind_each_symbol_to_its_part() {
         let pat = Pattern::Tuple(vec![
-            specified(Pattern::sym("a")),
-            Pattern::Tuple(vec![Pattern::sym("b"), Pattern::Wildcard]),
-            Pattern::Unspecified(Box::new(Pattern::sym("t"))),
-            Pattern::Tuple(vec![Pattern::sym("c")]),
-            Pattern::sym("d"),
+            specified(Pattern::local("a", 0)),
+            Pattern::Tuple(vec![Pattern::local("b", 1), Pattern::Wildcard]),
+            Pattern::Unspecified(Box::new(Pattern::local("t", 2))),
+            Pattern::Tuple(vec![Pattern::local("c", 3)]),
+            Pattern::local("d", 4),
         ]);
         let value = Value::Tuple(vec![
             Value::specified_int(1),
@@ -1157,30 +1322,34 @@ mod tests {
             Value::specified_int(3),
             Value::Tuple(vec![Value::Unit]),
         ]);
-        let env = bind(&pat, value).unwrap();
-        let expected = Env::from([
-            ("a", Value::Integer(IntegerValue::pure(1))),
-            ("b", Value::Bool(true)),
-            ("t", Value::Ctype(int_ty())),
-            ("c", Value::specified_int(3)),
-            ("d", Value::Tuple(vec![Value::Unit])),
-        ]);
-        assert_eq!(env, expected);
+        let frame = bind(&pat, value, 6).unwrap();
+        let expected = vec![
+            Some(Value::Integer(IntegerValue::pure(1))),
+            Some(Value::Bool(true)),
+            Some(Value::Ctype(int_ty())),
+            Some(Value::specified_int(3)),
+            Some(Value::Tuple(vec![Value::Unit])),
+            None,
+        ];
+        assert_eq!(frame, expected);
     }
 
     #[test]
     fn a_failed_match_binds_nothing_and_names_the_value() {
         // The first component matches, the second does not.
-        let pat = Pattern::Tuple(vec![Pattern::sym("x"), specified(Pattern::sym("y"))]);
+        let pat = Pattern::Tuple(vec![
+            Pattern::local("x", 0),
+            specified(Pattern::local("y", 1)),
+        ]);
         let value = Value::Tuple(vec![Value::Unit, Value::Unspecified(int_ty())]);
         assert_eq!(
-            bind(&pat, value),
+            bind(&pat, value, 2),
             Err(Stop::Error(
                 "pattern match failure binding (Unit, Unspecified('int'))".into()
             ))
         );
         assert_eq!(
-            bind(&specified(Pattern::sym("z")), Value::Unit),
+            bind(&specified(Pattern::local("z", 0)), Value::Unit, 1),
             Err(Stop::Error("pattern match failure binding Unit".into()))
         );
     }
@@ -1195,11 +1364,14 @@ mod tests {
             ])),
             vec![
                 arm(
-                    Pattern::Tuple(vec![Pattern::sym("x"), specified(Pattern::sym("y"))]),
+                    Pattern::Tuple(vec![
+                        Pattern::local("x", 0),
+                        specified(Pattern::local("y", 1)),
+                    ]),
                     6,
                 ),
                 arm(
-                    Pattern::Tuple(vec![Pattern::Wildcard, Pattern::sym("z")]),
+                    Pattern::Tuple(vec![Pattern::Wildcard, Pattern::local("z", 2)]),
                     7,
                 ),
             ],
@@ -1207,13 +1379,137 @@ mod tests {
         let program = CoreProgram::default();
         let mut oracle = RandomOracle::new(0);
         let mut interp = Interp::new(&program, concrete(), &mut oracle, ResourceLimits::default());
-        let mut env = Env::from([("x", Value::Bool(false))]);
-        let result = interp.eval_pexpr(&mut env, &case).unwrap();
+        let mut frame = vec![Some(Value::Bool(false)), None, None];
+        let result = interp.eval_pexpr(&mut frame, &case).unwrap();
         assert_eq!(result, Value::Integer(IntegerValue::pure(7)));
-        let expected = Env::from([
-            ("x", Value::Bool(false)),
-            ("z", Value::Unspecified(int_ty())),
+        let expected = vec![
+            Some(Value::Bool(false)),
+            None,
+            Some(Value::Unspecified(int_ty())),
+        ];
+        assert_eq!(frame, expected);
+    }
+
+    #[test]
+    fn reading_an_unbound_slot_names_the_symbol() {
+        let uses = [
+            Sym::new("x.1", Slot::Local(0)),
+            Sym::new("beyond", Slot::Local(5)),
+            Sym::new("g", Slot::Static(0)),
+        ]
+        .map(PExpr::Sym);
+        let program = CoreProgram::default();
+        let mut oracle = RandomOracle::new(0);
+        let mut interp = Interp::new(&program, concrete(), &mut oracle, ResourceLimits::default());
+        let mut frame = new_frame(1);
+        for (use_, name) in uses.iter().zip(["x.1", "beyond", "g"]) {
+            assert_eq!(
+                interp.eval_pexpr(&mut frame, use_),
+                Err(Stop::Error(format!("unbound Core symbol {name}")))
+            );
+        }
+    }
+
+    #[test]
+    fn a_negative_store_races_with_an_access_two_unseqs_deep_in_the_second_part() {
+        // wseq(neg(store p), unseq(unit, unseq(unit, load p)))
+        let nested = Expr::Unseq(vec![
+            Expr::Pure(PExpr::Unit),
+            Expr::Unseq(vec![Expr::Pure(PExpr::Unit), load()]),
         ]);
-        assert_eq!(env, expected);
+        let e = with_object(Expr::Wseq(
+            Pattern::Wildcard,
+            Box::new(store(Polarity::Negative, 1)),
+            Box::new(nested.clone()),
+        ));
+        let (result, clear) = run(&e, &mut RandomOracle::new(3));
+        assert!(is_race(&result), "{result:?}");
+        assert!(clear);
+
+        // A positive store is ordered before the second part.
+        let e = with_object(Expr::Wseq(
+            Pattern::Wildcard,
+            Box::new(store(Polarity::Positive, 1)),
+            Box::new(nested),
+        ));
+        let (result, clear) = run(&e, &mut RandomOracle::new(3));
+        assert!(result.is_ok(), "{result:?}");
+        assert!(clear);
+    }
+
+    #[test]
+    fn accesses_inside_indet_do_not_race_with_its_siblings() {
+        let unseq =
+            |second: Expr| with_object(Expr::Unseq(vec![store(Polarity::Positive, 1), second]));
+        let (result, clear) = run(&unseq(load()), &mut RandomOracle::new(0));
+        assert!(is_race(&result), "{result:?}");
+        assert!(clear);
+        let (result, clear) = run(
+            &unseq(Expr::Indet(Box::new(load()))),
+            &mut RandomOracle::new(0),
+        );
+        assert!(result.is_ok(), "{result:?}");
+        assert!(clear);
+    }
+
+    #[test]
+    fn leaving_an_unseq_or_wseq_by_jump_or_return_closes_every_collector() {
+        let label = Ident::new("out");
+        for first in [0, 1] {
+            // exit out in wseq(load p, unseq(load p, run out))
+            let by_jump = with_object(Expr::Exit(
+                label.clone(),
+                Box::new(Expr::Wseq(
+                    Pattern::Wildcard,
+                    Box::new(load()),
+                    Box::new(Expr::Unseq(vec![load(), Expr::Run(label.clone())])),
+                )),
+            ));
+            let (result, clear) = run(&by_jump, &mut ReplayOracle::new(vec![first]));
+            assert_eq!(result, Ok(Flow::Value(Value::Unit)));
+            assert!(clear, "choice {first}");
+
+            // wseq(unseq(load p, return 3), load p)
+            let by_return = with_object(Expr::Wseq(
+                Pattern::Wildcard,
+                Box::new(Expr::Unseq(vec![
+                    load(),
+                    Expr::Return(Box::new(PExpr::specified_int(3))),
+                ])),
+                Box::new(load()),
+            ));
+            let (result, clear) = run(&by_return, &mut ReplayOracle::new(vec![first]));
+            assert_eq!(result, Ok(Flow::Return(Value::specified_int(3))));
+            assert!(clear, "choice {first}");
+        }
+    }
+
+    #[test]
+    fn a_wide_unseq_runs_the_kth_remaining_operand_for_choice_k() {
+        // Each operand creates an object, and object addresses grow with
+        // creation order, so the result tuple records the run order.
+        const OPERANDS: usize = 150;
+        let e = Expr::Unseq((0..OPERANDS).map(|_| create()).collect());
+        let prefix: Vec<usize> = (0..OPERANDS)
+            .map(|i| (i * 37 + 11) % (OPERANDS - i))
+            .collect();
+        let (result, clear) = run(&e, &mut ReplayOracle::new(prefix.clone()));
+        assert!(clear);
+        let Ok(Flow::Value(Value::Tuple(pointers))) = result else {
+            panic!("unexpected result {result:?}");
+        };
+        let addresses: Vec<u64> = pointers
+            .iter()
+            .map(|v| v.as_pointer().expect("a created object").addr)
+            .collect();
+        let mut run_order: Vec<usize> = (0..OPERANDS).collect();
+        run_order.sort_by_key(|&i| addresses[i]);
+
+        let mut remaining: Vec<usize> = (0..OPERANDS).collect();
+        let expected: Vec<usize> = prefix
+            .iter()
+            .map(|&k| remaining.remove(k.min(remaining.len() - 1)))
+            .collect();
+        assert_eq!(run_order, expected);
     }
 }
