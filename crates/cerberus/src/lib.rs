@@ -60,6 +60,6 @@ pub use differential::{
     panic_payload, AgreementClass, DifferentialRunner, ModelRun, OutcomeMatrix,
 };
 pub use pipeline::{
-    run, run_with_model, CacheStats, Config, Desugared, Elaborated, Parsed, PipelineError,
-    PipelineErrorKind, RunOutcome, Session,
+    CacheStats, Config, Desugared, Elaborated, Parsed, PipelineError, PipelineErrorKind,
+    RunOutcome, Session,
 };

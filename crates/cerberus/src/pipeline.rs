@@ -46,7 +46,7 @@ use cerberus_elab::elaborate_program;
 use cerberus_exec::driver::{Driver, ExecMode, ProgramOutcome};
 use cerberus_memory::config::ModelConfig;
 use cerberus_memory::limits::ResourceLimits;
-use cerberus_memory::model::{AnyEngine, MemoryModel};
+use cerberus_memory::model::AnyEngine;
 use cerberus_parser::cabs::TranslationUnit;
 use cerberus_parser::parse_translation_unit;
 use cerberus_parser::parser::ParseError;
@@ -259,7 +259,8 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
-    /// The single outcome, when only one was produced or all agree.
+    /// The single outcome, when exactly one was produced (the outcomes are
+    /// distinct, so a longer list has none).
     pub fn unique(&self) -> Option<&ProgramOutcome> {
         match self.outcomes.as_slice() {
             [single] => Some(single),
@@ -353,8 +354,7 @@ struct CacheCounters {
 /// elaboration of identical sources (same seed re-run, a benchmark loop, the
 /// same litmus test under many models) is a hash lookup instead of a
 /// parse/desugar/elaborate pass. The cache is shared by clones of the session
-/// and is thread-safe, which is what lets `cerberus-gen` batch seeds across
-/// threads over one session.
+/// and is thread-safe, so the job queue's workers share one session.
 ///
 /// ```
 /// use cerberus::pipeline::Session;
@@ -557,11 +557,6 @@ pub struct Parsed {
 }
 
 impl Parsed {
-    /// The Cabs translation unit.
-    pub fn translation_unit(&self) -> &TranslationUnit {
-        &self.tu
-    }
-
     /// Stage 2: desugar and type-check into Ail. On failure the error
     /// carries **all** independently diagnosable constraint violations, not
     /// just the first (see [`PipelineError::diagnostics`]).
@@ -651,20 +646,8 @@ impl Elaborated {
     /// A driver executing this program under the engine `model` selects
     /// (concrete or symbolic, per [`cerberus_memory::config::EngineKind`]).
     pub fn driver(&self, model: &ModelConfig) -> Driver<AnyEngine> {
-        self.driver_with(model.instantiate(self.impl_env.clone(), self.core.tags.clone()))
-    }
-
-    /// A driver executing this program under an arbitrary [`MemoryModel`]
-    /// instantiation.
-    pub fn driver_with<M: MemoryModel>(&self, model: M) -> Driver<M> {
-        Driver::new(self.share(), model)
-    }
-
-    /// Execute under `model` with an explicit mode and step budget (a
-    /// shorthand for [`Elaborated::execute_bounded`] with a steps-only
-    /// [`ResourceLimits`]).
-    pub fn execute(&self, model: &ModelConfig, mode: ExecMode, step_limit: u64) -> RunOutcome {
-        self.execute_bounded(model, mode, &ResourceLimits::with_steps(step_limit))
+        let engine = model.instantiate(self.impl_env.clone(), self.core.tags.clone());
+        Driver::new(self.share(), engine)
     }
 
     /// Execute under `model` with an explicit mode and full resource budget
@@ -760,16 +743,6 @@ pub(crate) fn stack_covers(limits: &ResourceLimits) -> bool {
     HOST_STACK_BYTES.get() >= limits.host_stack_bytes()
 }
 
-/// Convenience: run `source` under the default (de facto) configuration.
-pub fn run(source: &str) -> Result<RunOutcome, PipelineError> {
-    Session::default().run_source(source)
-}
-
-/// Convenience: run `source` under a specific memory model.
-pub fn run_with_model(source: &str, model: ModelConfig) -> Result<RunOutcome, PipelineError> {
-    Session::with_model(model).run_source(source)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -791,7 +764,7 @@ mod tests {
     }
 
     fn exit_of(src: &str) -> i128 {
-        let out = run(src).unwrap();
+        let out = Session::default().run_source(src).unwrap();
         match &out.outcomes[0].result {
             ExecResult::Return(v) | ExecResult::Exit(v) => *v,
             other => panic!(
@@ -802,12 +775,12 @@ mod tests {
     }
 
     fn stdout_of(src: &str) -> String {
-        let out = run(src).unwrap();
+        let out = Session::default().run_source(src).unwrap();
         out.outcomes[0].stdout.clone()
     }
 
     fn ub_of(src: &str) -> UbKind {
-        let out = run(src).unwrap();
+        let out = Session::default().run_source(src).unwrap();
         match &out.outcomes[0].result {
             ExecResult::Undef(ub, _) => *ub,
             other => panic!("expected undefined behaviour, got {other}"),
@@ -1120,11 +1093,9 @@ mod tests {
         let ub = ub_of("int main(void) { int x; if (x) return 1; return 0; }");
         assert_eq!(ub, UbKind::IndeterminateValueUse);
         // Under the strict-ISO model the read itself is already UB.
-        let out = run_with_model(
-            "int main(void) { int x; return x; }",
-            ModelConfig::strict_iso(),
-        )
-        .unwrap();
+        let out = Session::with_model(ModelConfig::strict_iso())
+            .run_source("int main(void) { int x; return x; }")
+            .unwrap();
         assert_eq!(
             out.outcomes[0].result.ub_kind(),
             Some(UbKind::IndeterminateValueUse)
@@ -1135,7 +1106,9 @@ mod tests {
     fn unsequenced_race_is_detected() {
         // i = i++ + 1: the store of the assignment and the increment's store
         // are unsequenced (6.5p2).
-        let out = run("int main(void) { int i = 0; i = i++ + 1; return i; }").unwrap();
+        let out = Session::default()
+            .run_source("int main(void) { int i = 0; i = i++ + 1; return i; }")
+            .unwrap();
         assert!(
             out.outcomes[0].result.ub_kind() == Some(UbKind::UnsequencedRace),
             "expected an unsequenced race, got {:?}",
@@ -1183,16 +1156,22 @@ mod tests {
                      return 0;\n\
                    }";
         // Concrete semantics: the store hits y.
-        let concrete = run_with_model(src, ModelConfig::concrete()).unwrap();
+        let concrete = Session::with_model(ModelConfig::concrete())
+            .run_source(src)
+            .unwrap();
         assert_eq!(concrete.outcomes[0].stdout, "x=1 y=11 *p=11 *q=11\n");
         // Candidate de facto model: the access is undefined behaviour.
-        let de_facto = run_with_model(src, ModelConfig::de_facto()).unwrap();
+        let de_facto = Session::with_model(ModelConfig::de_facto())
+            .run_source(src)
+            .unwrap();
         assert_eq!(
             de_facto.outcomes[0].result.ub_kind(),
             Some(UbKind::OutOfBoundsAccess)
         );
         // GCC-like provenance-optimising semantics: y keeps its value.
-        let gcc = run_with_model(src, ModelConfig::gcc_like()).unwrap();
+        let gcc = Session::with_model(ModelConfig::gcc_like())
+            .run_source(src)
+            .unwrap();
         assert_eq!(gcc.outcomes[0].stdout, "x=1 y=2 *p=11 *q=2\n");
     }
 
@@ -1200,7 +1179,9 @@ mod tests {
     fn relational_comparison_across_objects_follows_model() {
         let src = "int a, b;\nint main(void) { return &a < &b || &a > &b; }";
         assert_eq!(exit_of(src), 1);
-        let iso = run_with_model(src, ModelConfig::strict_iso()).unwrap();
+        let iso = Session::with_model(ModelConfig::strict_iso())
+            .run_source(src)
+            .unwrap();
         assert_eq!(
             iso.outcomes[0].result.ub_kind(),
             Some(UbKind::RelationalCompareDifferentObjects)
@@ -1212,7 +1193,9 @@ mod tests {
         let src = "int main(void) { int x = 7; unsigned long a = (unsigned long)&x; int *p = (int*)a; return *p; }";
         assert_eq!(exit_of(src), 7);
         // Under the block model the round-tripped pointer is unusable.
-        let blk = run_with_model(src, ModelConfig::block()).unwrap();
+        let blk = Session::with_model(ModelConfig::block())
+            .run_source(src)
+            .unwrap();
         assert!(blk.outcomes[0].result.is_undef());
     }
 
@@ -1264,7 +1247,9 @@ mod tests {
             exit_of("int main(void) { char *s = \"AB\"; return s[0] + s[1]; }"),
             131
         );
-        let out = run("int main(void) { char *s = \"AB\"; s[0] = 'x'; return 0; }").unwrap();
+        let out = Session::default()
+            .run_source("int main(void) { char *s = \"AB\"; s[0] = 'x'; return 0; }")
+            .unwrap();
         assert_eq!(
             out.outcomes[0].result.ub_kind(),
             Some(UbKind::StringLiteralModification)
@@ -1273,18 +1258,25 @@ mod tests {
 
     #[test]
     fn frontend_errors_are_reported_with_their_kind() {
-        let constraint = run("int main(void) { return zz; }").unwrap_err();
+        let constraint = Session::default()
+            .run_source("int main(void) { return zz; }")
+            .unwrap_err();
         assert_eq!(constraint.kind(), PipelineErrorKind::Constraint);
-        let syntax = run("int main(void) { return 0 }").unwrap_err();
+        let syntax = Session::default()
+            .run_source("int main(void) { return 0 }")
+            .unwrap_err();
         assert_eq!(syntax.kind(), PipelineErrorKind::Syntax);
     }
 
     #[test]
     fn constraint_errors_collect_every_violation() {
-        let err = run("int f(void) { return aa; }\n\
+        let err = Session::default()
+            .run_source(
+                "int f(void) { return aa; }\n\
                        int g(void) { return bb; }\n\
-                       int main(void) { return 0; }")
-        .unwrap_err();
+                       int main(void) { return 0; }",
+            )
+            .unwrap_err();
         assert_eq!(err.kind(), PipelineErrorKind::Constraint);
         assert_eq!(err.diagnostic_count(), 2);
         let diags = err.diagnostics();
@@ -1295,7 +1287,9 @@ mod tests {
         // ...and Display mentions the rest.
         assert!(err.to_string().contains("and 1 more"), "display: {err}");
         // A single violation renders without the suffix.
-        let single = run("int main(void) { return zz; }").unwrap_err();
+        let single = Session::default()
+            .run_source("int main(void) { return zz; }")
+            .unwrap_err();
         assert_eq!(single.diagnostic_count(), 1);
         assert!(!single.to_string().contains("more constraint"));
     }
@@ -1496,7 +1490,9 @@ mod tests {
 
     #[test]
     fn exit_builtin() {
-        let out = run("#include <stdlib.h>\nint main(void) { exit(3); return 0; }").unwrap();
+        let out = Session::default()
+            .run_source("#include <stdlib.h>\nint main(void) { exit(3); return 0; }")
+            .unwrap();
         assert_eq!(out.outcomes[0].result, ExecResult::Exit(3));
     }
 }

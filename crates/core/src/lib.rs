@@ -4,12 +4,12 @@
 //! target for the elaboration, and with the behaviour of Core programs made as
 //! explicit as possible": a typed call-by-value language of procedures and
 //! expressions with mathematical integers, explicit memory actions, and novel
-//! sequencing constructs (`unseq`, weak/strong sequencing, nondeterminism,
-//! `save`/`run`) that make the C evaluation order explicit.
+//! sequencing constructs (`unseq`, weak/strong sequencing, indeterminate
+//! sequencing, `save`/`run`) that make the C evaluation order explicit.
 //!
-//! This crate defines the Core abstract syntax, a pretty printer (used to
-//! reproduce the Fig. 3 elaboration excerpt), and Core-to-Core simplification
-//! transforms. The operational semantics lives in `cerberus-exec` and the
+//! This crate defines the Core abstract syntax and a pretty printer (used to
+//! reproduce the Fig. 3 elaboration excerpt). The syntax holds only what the
+//! elaborator in `cerberus-elab` emits. The operational semantics lives in `cerberus-exec` and the
 //! memory object models in `cerberus-memory`, mirroring the paper's
 //! factorisation.
 //!
@@ -26,11 +26,6 @@
 pub mod pretty;
 pub mod program;
 pub mod syntax;
-pub mod transform;
 
 pub use program::{CoreGlobal, CoreProc, CoreProgram};
-pub use syntax::{
-    Binop, BuiltinFn, CoreBaseType, Expr, MemAction, MemOrder, PExpr, Pattern, Polarity, PtrOp,
-    Slot, Sym,
-};
-pub use transform::simplify_expr;
+pub use syntax::{Binop, BuiltinFn, Expr, MemAction, PExpr, Pattern, Polarity, PtrOp, Slot, Sym};

@@ -5,30 +5,6 @@ use cerberus_ast::ctype::{Ctype, TagId};
 use cerberus_ast::ident::Ident;
 use cerberus_ast::ub::UbKind;
 
-/// Core base types, used by the lightweight Core type checker and by the
-/// pretty printer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CoreBaseType {
-    /// The unit type.
-    Unit,
-    /// Booleans.
-    Boolean,
-    /// First-class representations of C type expressions.
-    CtypeTy,
-    /// Mathematical integers (Core arithmetic is unbounded; C-level wrapping
-    /// is made explicit by the elaboration).
-    Integer,
-    /// C pointer values.
-    Pointer,
-    /// A loaded value: either a specified object value or an unspecified
-    /// value of a recorded C type.
-    Loaded(Box<CoreBaseType>),
-    /// Tuples.
-    Tuple(Vec<CoreBaseType>),
-    /// A C object value of the given type.
-    Object(Ctype),
-}
-
 /// Polarity of a memory action (§5.6): negative actions are not part of a
 /// value computation and are only ordered by strong sequencing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,23 +15,6 @@ pub enum Polarity {
     /// A side effect outside the value computation (e.g. the store of a
     /// postfix increment); ordered only by strong sequencing.
     Negative,
-}
-
-/// C11 memory orders, used when Core is linked against the operational
-/// concurrency model; `NA` is the non-atomic order used by the sequential
-/// memory object models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MemOrder {
-    /// Non-atomic.
-    NA,
-    /// `memory_order_seq_cst`.
-    SeqCst,
-    /// `memory_order_relaxed`.
-    Relaxed,
-    /// `memory_order_acquire`.
-    Acquire,
-    /// `memory_order_release`.
-    Release,
 }
 
 /// Binary operators of Core, over mathematical integers and booleans.
@@ -93,10 +52,6 @@ pub enum Binop {
     Gt,
     /// Greater-or-equal.
     Ge,
-    /// Boolean conjunction.
-    And,
-    /// Boolean disjunction.
-    Or,
 }
 
 /// The pointer operations that involve the memory state (`ptrop` in Fig. 2).
@@ -120,19 +75,14 @@ pub enum PtrOp {
     IntFromPtr,
     /// Cast of an integer value to a pointer value (`ptrFromInt`).
     PtrFromInt,
-    /// Dereferencing-validity predicate (`ptrValidForDeref`).
-    ValidForDeref,
 }
 
 /// The builtin pure functions of the Core standard library used by the
-/// elaboration (the paper's `integer_promotion`, `ctype_width`,
-/// `is_representable`, `Ivmax`, … auxiliaries, provided here as primitives and
-/// interpreted against the implementation-defined environment).
+/// elaboration (the paper's `conv_int`, `is_representable`, `ctype_width`, …
+/// auxiliaries, provided here as primitives and interpreted against the
+/// implementation-defined environment).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuiltinFn {
-    /// The integer promotion of a C integer type applied to a value
-    /// (6.3.1.1p2); arguments: ctype, integer.
-    IntegerPromotion,
     /// Conversion of an integer value to a C integer type (6.3.1.3);
     /// arguments: ctype, integer.
     ConvInt,
@@ -141,22 +91,8 @@ pub enum BuiltinFn {
     IsRepresentable,
     /// The width in bits of a C integer type; argument: ctype.
     CtypeWidth,
-    /// The maximum value of a C integer type; argument: ctype.
-    Ivmax,
-    /// The minimum value of a C integer type; argument: ctype.
-    Ivmin,
-    /// `sizeof`; argument: ctype.
-    SizeOf,
     /// `_Alignof`; argument: ctype.
     AlignOf,
-    /// Whether a C type is a signed integer type; argument: ctype.
-    IsSigned,
-    /// Whether a C type is an unsigned integer type; argument: ctype.
-    IsUnsigned,
-    /// Whether a C type is an integer type; argument: ctype.
-    IsInteger,
-    /// Whether a C type is a scalar type; argument: ctype.
-    IsScalar,
 }
 
 /// Where the value of a Core symbol lives at run time, fixed when the
@@ -217,9 +153,6 @@ pub enum Pattern {
     Tuple(Vec<Pattern>),
     /// `Specified(p)` — a loaded value that is not unspecified.
     Specified(Box<Pattern>),
-    /// `Unspecified(p)` — an unspecified loaded value; the sub-pattern binds
-    /// the recorded C type.
-    Unspecified(Box<Pattern>),
 }
 
 impl Pattern {
@@ -236,8 +169,6 @@ pub enum MemAction {
     /// Create an object for a C type (static or automatic storage): alignment
     /// and type.
     Create { align: Box<PExpr>, ty: Box<PExpr> },
-    /// Allocate a dynamic region (malloc-style): alignment and size in bytes.
-    Alloc { align: Box<PExpr>, size: Box<PExpr> },
     /// End the lifetime of the object a pointer refers to.
     Kill(Box<PExpr>),
     /// Store a value through a pointer at a C type.
@@ -245,14 +176,9 @@ pub enum MemAction {
         ty: Box<PExpr>,
         ptr: Box<PExpr>,
         value: Box<PExpr>,
-        order: MemOrder,
     },
     /// Load a value through a pointer at a C type.
-    Load {
-        ty: Box<PExpr>,
-        ptr: Box<PExpr>,
-        order: MemOrder,
-    },
+    Load { ty: Box<PExpr>, ptr: Box<PExpr> },
 }
 
 /// Pure (effect-free) Core expressions (`pe` in Fig. 2).
@@ -262,14 +188,10 @@ pub enum PExpr {
     Sym(Sym),
     /// The unit value.
     Unit,
-    /// A boolean literal.
-    Boolean(bool),
     /// A mathematical integer literal.
     Integer(i128),
     /// A C type expression as a first-class value.
     CtypeConst(Ctype),
-    /// The null pointer of a given referenced type.
-    NullPtr(Ctype),
     /// A C function designator used as a value (function pointer).
     FunctionPtr(Ident),
     /// Undefined behaviour: evaluating this terminates the execution with the
@@ -284,22 +206,12 @@ pub enum PExpr {
     Unspecified(Ctype),
     /// A tuple.
     Tuple(Vec<PExpr>),
-    /// An array value (used by aggregate initialisation).
-    ArrayVal(Vec<PExpr>),
-    /// A struct value: tag and member values in declaration order.
-    StructVal(TagId, Vec<(Ident, PExpr)>),
-    /// A union value: tag, active member and its value.
-    UnionVal(TagId, Ident, Box<PExpr>),
-    /// Boolean negation.
-    Not(Box<PExpr>),
     /// A binary operation over mathematical integers / booleans.
     Binop(Binop, Box<PExpr>, Box<PExpr>),
     /// Pure conditional (the test must be pure).
     If(Box<PExpr>, Box<PExpr>, Box<PExpr>),
     /// Pure pattern match.
     Case(Box<PExpr>, Vec<(Pattern, PExpr)>),
-    /// Pure let.
-    Let(Pattern, Box<PExpr>, Box<PExpr>),
     /// A call to a builtin pure function of the Core standard library.
     Builtin(BuiltinFn, Vec<PExpr>),
     /// Pointer array shift: `array_shift(ptr, τ, index)` advances a pointer by
@@ -334,16 +246,12 @@ impl PExpr {
     pub fn is_value(&self) -> bool {
         match self {
             PExpr::Unit
-            | PExpr::Boolean(_)
             | PExpr::Integer(_)
             | PExpr::CtypeConst(_)
-            | PExpr::NullPtr(_)
             | PExpr::FunctionPtr(_)
             | PExpr::Unspecified(_) => true,
             PExpr::Specified(inner) => inner.is_value(),
-            PExpr::Tuple(items) | PExpr::ArrayVal(items) => items.iter().all(PExpr::is_value),
-            PExpr::StructVal(_, members) => members.iter().all(|(_, v)| v.is_value()),
-            PExpr::UnionVal(_, _, v) => v.is_value(),
+            PExpr::Tuple(items) => items.iter().all(PExpr::is_value),
             _ => false,
         }
     }
@@ -382,11 +290,6 @@ pub enum Expr {
     /// Marks a subexpression as indeterminately sequenced w.r.t. its context
     /// (function bodies in expressions).
     Indet(Box<Expr>),
-    /// Delimits the context of indeterminate sequencing (the original full
-    /// expression).
-    Bound(Box<Expr>),
-    /// Nondeterministic choice between alternatives.
-    Nd(Vec<Expr>),
     /// `save l in e` — a label whose body is `e`; `run l` within re-executes
     /// the body (loop/backward-jump semantics).
     Save(Ident, Box<Expr>),
@@ -397,9 +300,6 @@ pub enum Expr {
     Run(Ident),
     /// Return from the current C function with a (loaded) value.
     Return(Box<PExpr>),
-    /// Spawn threads evaluating the expressions in parallel (restricted C11
-    /// concurrency instantiation).
-    Par(Vec<Expr>),
 }
 
 impl Expr {
@@ -418,21 +318,19 @@ impl Expr {
         }
     }
 
-    /// Whether the expression contains any memory action (used by tests and
-    /// by the simplifier to preserve effects).
+    /// Whether the expression contains any memory action or call.
     pub fn has_effects(&self) -> bool {
         match self {
             Expr::Pure(_) | Expr::Skip | Expr::Run(_) => false,
             Expr::Memop(..) | Expr::Action(..) | Expr::Ccall(..) | Expr::Return(_) => true,
             Expr::Case(_, arms) => arms.iter().any(|(_, e)| e.has_effects()),
-            Expr::Let(_, _, e)
-            | Expr::Indet(e)
-            | Expr::Bound(e)
-            | Expr::Save(_, e)
-            | Expr::Exit(_, e) => e.has_effects(),
-            Expr::If(_, a, b) => a.has_effects() || b.has_effects(),
-            Expr::Unseq(es) | Expr::Nd(es) | Expr::Par(es) => es.iter().any(Expr::has_effects),
-            Expr::Wseq(_, a, b) | Expr::Sseq(_, a, b) => a.has_effects() || b.has_effects(),
+            Expr::Let(_, _, e) | Expr::Indet(e) | Expr::Save(_, e) | Expr::Exit(_, e) => {
+                e.has_effects()
+            }
+            Expr::If(_, a, b) | Expr::Wseq(_, a, b) | Expr::Sseq(_, a, b) => {
+                a.has_effects() || b.has_effects()
+            }
+            Expr::Unseq(es) => es.iter().any(Expr::has_effects),
         }
     }
 }
@@ -454,7 +352,7 @@ mod tests {
             Box::new(PExpr::Integer(2))
         )
         .is_value());
-        assert!(PExpr::Tuple(vec![PExpr::Unit, PExpr::Boolean(true)]).is_value());
+        assert!(PExpr::Tuple(vec![PExpr::Unit, PExpr::Integer(1)]).is_value());
     }
 
     #[test]
@@ -478,7 +376,6 @@ mod tests {
                 ty: Box::new(PExpr::CtypeConst(Ctype::integer(IntegerType::Int))),
                 ptr: Box::new(PExpr::local("p", 0)),
                 value: Box::new(PExpr::Integer(1)),
-                order: MemOrder::NA,
             },
         );
         assert!(store.has_effects());

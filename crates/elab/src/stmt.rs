@@ -9,7 +9,7 @@ use cerberus_ast::env::ImplEnv;
 use cerberus_ast::ident::Ident;
 use cerberus_ast::layout::TagRegistry;
 use cerberus_ast::ub::UbKind;
-use cerberus_core::syntax::{Expr, MemAction, MemOrder, PExpr, Pattern, Polarity, Slot, Sym};
+use cerberus_core::syntax::{Expr, MemAction, PExpr, Pattern, Polarity, Slot, Sym};
 
 /// The elaboration context: the implementation-defined environment, the tag
 /// registry (for member offsets and layout queries during elaboration), the
@@ -157,7 +157,6 @@ impl Elaborator {
                 ty: Box::new(PExpr::CtypeConst(ty.clone())),
                 ptr: Box::new(ptr),
                 value: Box::new(value),
-                order: MemOrder::NA,
             },
         )
     }
@@ -169,7 +168,6 @@ impl Elaborator {
                 ty: Box::new(PExpr::CtypeConst(ty.clone())),
                 ptr: Box::new(ptr),
                 value: Box::new(value),
-                order: MemOrder::NA,
             },
         )
     }
@@ -180,7 +178,6 @@ impl Elaborator {
             MemAction::Load {
                 ty: Box::new(PExpr::CtypeConst(ty.clone())),
                 ptr: Box::new(ptr),
-                order: MemOrder::NA,
             },
         )
     }

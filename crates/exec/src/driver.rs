@@ -2,7 +2,7 @@
 //! enumeration of all allowed behaviours (§5.1, §6).
 //!
 //! Every source of semantic looseness is routed through a [`ChoiceOracle`]:
-//! the evaluation order of `unseq` siblings and the branch taken by `nd`. The
+//! the evaluation order of `unseq` siblings is its only choice point. The
 //! random driver samples one schedule; the exhaustive driver enumerates
 //! choice sequences by depth-first search with replay, exactly the "test
 //! oracle" usage of the paper (compute the set of all allowed behaviours of a

@@ -5,7 +5,7 @@
 //! generic over the paper's abstract memory object model interface (§5.9) and
 //! never names a concrete engine. All the looseness of the C semantics is
 //! routed through a single [`driver::ChoiceOracle`]: the order in which
-//! `unseq` siblings are evaluated, and which `nd` branch is taken. "By
+//! `unseq` siblings are evaluated. "By
 //! selecting an appropriate sequencing monad implementation, we can select
 //! whether to perform an exhaustive search for all allowed executions or
 //! pseudorandomly explore single execution paths" (§5.1) — here the

@@ -642,7 +642,9 @@ mod tests {
         let p = generate(1, GenConfig::small());
         let src = to_c_source(&p);
         assert!(src.contains("int main(void)"));
-        let out = cerberus::pipeline::run_with_model(&src, ModelConfig::concrete()).unwrap();
+        let out = cerberus::pipeline::Session::with_model(ModelConfig::concrete())
+            .run_source(&src)
+            .unwrap();
         assert!(
             matches!(out.outcomes[0].result, ExecResult::Return(_)),
             "{:?}",

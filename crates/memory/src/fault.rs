@@ -152,10 +152,6 @@ impl MemoryModel for PanickingEngine {
         self.fault()
     }
 
-    fn valid_for_deref(&self, _ptr: &PointerValue, _ty: &Ctype) -> bool {
-        self.fault()
-    }
-
     fn array_shift(
         &self,
         _ptr: &PointerValue,

@@ -10,9 +10,13 @@
 //!   execute under any memory model, and the
 //!   [`cerberus::DifferentialRunner`] for one-artifact/many-models outcome
 //!   matrices;
+//! * [`cerberus_parser`], [`cerberus_ail`] and [`cerberus_elab`] — the front
+//!   end: C source to Cabs, Cabs to type-annotated Ail, Ail to Core;
+//! * [`cerberus_core`] — the Core calculus, holding exactly the constructs
+//!   the elaborator emits, and its pretty printer;
 //! * [`cerberus_memory`] — the abstract [`cerberus_memory::MemoryModel`]
-//!   interface and its first implementation, the configurable
-//!   [`cerberus_memory::ConcreteEngine`];
+//!   interface and its two engines, the configurable
+//!   [`cerberus_memory::ConcreteEngine`] and the symbolic provenance engine;
 //! * [`cerberus_exec`] — the Core operational semantics and drivers, generic
 //!   over the memory model;
 //! * [`cerberus_litmus`] — the de facto semantic test suite;
@@ -28,7 +32,6 @@
 pub use cerberus;
 pub use cerberus_ail;
 pub use cerberus_ast;
-pub use cerberus_conc;
 pub use cerberus_core;
 pub use cerberus_elab;
 pub use cerberus_exec;

@@ -1,13 +1,15 @@
 //! Integration tests: realistic C programs run end-to-end through the whole
 //! pipeline (parser → Ail → Core → evaluator → memory model).
 
-use cerberus::pipeline::{run, run_with_model, Config, Session};
+use cerberus::pipeline::{Config, Session};
 use cerberus_ast::ub::UbKind;
 use cerberus_exec::driver::ExecResult;
 use cerberus_memory::config::ModelConfig;
 
 fn exit_of(src: &str) -> i128 {
-    let out = run(src).expect("program is well-formed");
+    let out = Session::default()
+        .run_source(src)
+        .expect("program is well-formed");
     match &out.outcomes[0].result {
         ExecResult::Return(v) | ExecResult::Exit(v) => *v,
         other => panic!(
@@ -18,7 +20,10 @@ fn exit_of(src: &str) -> i128 {
 }
 
 fn stdout_of(src: &str) -> String {
-    run(src).expect("program is well-formed").outcomes[0]
+    Session::default()
+        .run_source(src)
+        .expect("program is well-formed")
+        .outcomes[0]
         .stdout
         .clone()
 }
@@ -78,7 +83,7 @@ fn string_manipulation_with_the_builtin_library() {
             return strcmp(buf, "Hello") == 0;
         }
     "#;
-    let out = run(src).unwrap();
+    let out = Session::default().run_source(src).unwrap();
     assert_eq!(out.outcomes[0].stdout, "Hello 5\n");
     assert!(matches!(out.outcomes[0].result, ExecResult::Return(1)));
 }
@@ -162,7 +167,7 @@ fn printf_formats_and_loops() {
 fn the_same_program_can_be_checked_under_every_model() {
     let src = "int main(void) { int x = 3; int *p = &x; return *p + 39; }";
     for model in ModelConfig::all_named() {
-        let out = run_with_model(src, model.clone()).unwrap();
+        let out = Session::with_model(model.clone()).run_source(src).unwrap();
         assert!(
             matches!(out.outcomes[0].result, ExecResult::Return(42)),
             "model {}: {:?}",
@@ -218,7 +223,9 @@ fn calls_through_a_pointer_of_the_wrong_arity_are_undefined() {
             ModelConfig::de_facto(),
             ModelConfig::symbolic(),
         ] {
-            let out = run_with_model(src, model.clone()).expect("program is well-formed");
+            let out = Session::with_model(model.clone())
+                .run_source(src)
+                .expect("program is well-formed");
             assert_eq!(
                 out.outcomes[0].result.ub_kind(),
                 Some(UbKind::IncompatibleFunctionCall),

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use cerberus::pipeline::run_with_model;
+use cerberus::pipeline::Session;
 use cerberus_ast::ctype::IntegerType;
 use cerberus_ast::env::ImplEnv;
 use cerberus_exec::driver::ExecResult;
@@ -94,7 +94,7 @@ proptest! {
             "int main(void) {{ unsigned x = {a}u; unsigned y = {b}u; unsigned z = x * 3u + y; return (int)(z % 97u); }}"
         );
         let expected = i128::from((a.wrapping_mul(3).wrapping_add(b)) % 97);
-        let out = run_with_model(&src, ModelConfig::de_facto()).unwrap();
+        let out = Session::with_model(ModelConfig::de_facto()).run_source(&src).unwrap();
         prop_assert!(matches!(out.outcomes[0].result, ExecResult::Return(v) if v == expected),
             "{:?} vs {}", out.outcomes[0], expected);
     }
